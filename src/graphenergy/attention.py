@@ -11,30 +11,24 @@ Three score rules are supported:
 
 Symmetrized scores ``e`` induce a weighted graph with ``w_ij = exp(e_ij)``
 and ``mu_i = exp(e_ii) + sum_l exp(e_il)``, whose aggregation operator is
-exactly the row-wise softmax over the closed neighborhood. The applier is
-built from row-max-shifted scores, so it stays finite for any score
-magnitude; the graph view keeps the raw exponentials and is only built
-when scores sit in a safe range.
+exactly the row-wise softmax over the closed neighborhood. That operator is
+returned as a sparse matrix ``P`` built from row-max-shifted scores, so it
+stays finite for any score magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
-from graphenergy.graph import WeightedGraph
+from graphenergy.graph import WeightedGraph, _row_sums
 
 VARIANT_UNIFORM = "gcn"
 VARIANT_ADDITIVE = "gat"
 VARIANT_DOT = "san"
 SCORE_VARIANTS = (VARIANT_UNIFORM, VARIANT_ADDITIVE, VARIANT_DOT)
-
-# Raw exponentials of scores beyond this magnitude are not representable
-# reliably; the symmetric graph view is withheld past it.
-SAFE_SCORE_BOUND = 60.0
 
 
 @dataclass(frozen=True)
@@ -64,34 +58,21 @@ class AttentionParams:
 
 @dataclass(frozen=True, eq=False)
 class EdgeScores:
-    """Scores for every stored directed edge plus the diagonal."""
+    """Scores for every stored directed edge of ``graph`` plus the diagonal.
 
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray   # aligned with indices
+    ``values`` is aligned with ``graph.indices``, so the graph's cached
+    edge sources and reverse-edge ids index it directly.
+    """
+
+    graph: WeightedGraph
+    values: np.ndarray
     diagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != self.indices.shape:
+        if self.values.shape != self.graph.indices.shape:
             raise ValueError("edge score array does not match the edge list")
-        if self.diagonal.shape != (self.n,):
+        if self.diagonal.shape != (self.graph.n,):
             raise ValueError("diagonal score array does not match n")
-
-
-@dataclass(frozen=True, eq=False)
-class InducedAggregation:
-    """Row-stochastic aggregation induced by symmetric scores.
-
-    ``apply`` maps features through the softmax operator. ``graph`` is the
-    symmetric weighted-graph view (raw exponentials); it is None when any
-    score magnitude exceeds the safe bound or when the view was not
-    requested.
-    """
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    graph: WeightedGraph | None
-    row_normalizers: np.ndarray
 
 
 def attention_scores(
@@ -134,110 +115,42 @@ def attention_scores(
         off = scale * np.einsum("ed,ed->e", K[src], Q[dst])
         diag = scale * np.einsum("nd,nd->n", K, Q)
 
-    return EdgeScores(
-        n=G.n,
-        indptr=G.indptr.copy(),
-        indices=G.indices.copy(),
-        values=off,
-        diagonal=diag,
-    )
+    return EdgeScores(graph=G, values=off, diagonal=diag)
 
 
 def symmetrize_scores(scores: EdgeScores) -> EdgeScores:
     """Average each off-diagonal score with its reverse. Idempotent."""
-    rev = _reverse_ids(scores)
+    rev = scores.graph.reverse_edge_ids
     values = 0.5 * (scores.values + scores.values[rev])
-    return EdgeScores(
-        n=scores.n,
-        indptr=scores.indptr,
-        indices=scores.indices,
-        values=values,
-        diagonal=scores.diagonal.copy(),
-    )
+    return EdgeScores(graph=scores.graph, values=values, diagonal=scores.diagonal)
 
 
-def attention_weighted_graph(
-    scores: EdgeScores,
-    build_graph_view: bool = True,
-) -> InducedAggregation:
-    """Turn symmetric scores into the softmax aggregation operator.
+def attention_weighted_graph(scores: EdgeScores) -> sparse.csr_matrix:
+    """Turn symmetric scores into the softmax aggregation operator ``P``.
 
-    Rejects asymmetric scores. The applier always exists; the weighted
-    graph view additionally requires every |score| <= SAFE_SCORE_BOUND.
+    Rejects asymmetric scores. Row-max shifted exponentials keep every
+    entry finite regardless of score magnitude; apply as ``P @ X``.
     """
-    rev = _reverse_ids(scores)
+    G = scores.graph
+    rev = G.reverse_edge_ids
     scale = max(1.0, float(np.abs(scores.values).max()) if scores.values.size else 1.0)
     if scores.values.size and np.abs(scores.values - scores.values[rev]).max() > 1e-12 * scale:
         raise ValueError("scores must be symmetric; call symmetrize_scores first")
 
-    n = scores.n
-    indptr, indices = scores.indptr, scores.indices
-
-    # Row-max shift keeps every exponential in range regardless of scale.
+    n, indptr, src = G.n, G.indptr, G.edge_sources
     row_max = scores.diagonal.copy()
-    counts = np.diff(indptr)
-    mask = counts > 0
+    mask = G.degrees > 0
     if scores.values.size:
         row_peaks = np.maximum.reduceat(scores.values, indptr[:-1][mask])
         row_max[mask] = np.maximum(row_max[mask], row_peaks)
-    src = np.repeat(np.arange(n), counts)
     exp_off = np.exp(scores.values - row_max[src])
     exp_diag = np.exp(scores.diagonal - row_max)
-    normalizers = exp_diag.copy()
-    if exp_off.size:
-        sums = np.zeros(n)
-        sums[mask] = np.add.reduceat(exp_off, indptr[:-1][mask])
-        normalizers += sums
+    normalizers = exp_diag + _row_sums(G, exp_off)
 
     p_off = exp_off / normalizers[src]
     p_diag = exp_diag / normalizers
-    operator = sparse.csr_matrix((p_off, indices, indptr), shape=(n, n))
-    operator = operator + sparse.diags(p_diag, format="csr")
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[0] != n:
-            raise ValueError(f"feature matrix does not match n={n}")
-        return operator @ X
-
-    graph = None
-    if build_graph_view:
-        bounded = (
-            np.abs(scores.diagonal).max(initial=0.0) <= SAFE_SCORE_BOUND
-            and np.abs(scores.values).max(initial=0.0) <= SAFE_SCORE_BOUND
-        )
-        if bounded:
-            w = np.exp(scores.values)
-            mu = np.exp(scores.diagonal)
-            if w.size:
-                mu_sums = np.zeros(n)
-                mu_sums[mask] = np.add.reduceat(w, indptr[:-1][mask])
-                mu = mu + mu_sums
-            graph = WeightedGraph(
-                n=n,
-                indptr=indptr.copy(),
-                indices=indices.copy(),
-                weights=w,
-                measure=mu,
-                is_connected=_connected_view(indptr, indices, n),
-            )
-
-    return InducedAggregation(apply=apply, graph=graph, row_normalizers=normalizers)
-
-
-def _reverse_ids(scores: EdgeScores) -> np.ndarray:
-    counts = np.diff(scores.indptr)
-    src = np.repeat(np.arange(scores.n), counts)
-    return np.lexsort((src, scores.indices))
-
-
-def _connected_view(indptr, indices, n) -> bool:
-    from scipy.sparse import csgraph
-
-    adj = sparse.csr_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(n, n)
-    )
-    return int(csgraph.connected_components(adj, directed=False)[0]) == 1
+    operator = sparse.csr_matrix((p_off, G.indices, indptr), shape=(n, n))
+    return operator + sparse.diags(p_diag, format="csr")
 
 
 def _leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:

@@ -158,8 +158,9 @@ def random_features(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray
 def load_edge_list(path) -> WeightedGraph:
     """Read an undirected edge list; see the module docstring for the
     format. Duplicate lines (either orientation) collapse to one edge.
-    Malformed lines report their 1-based line number."""
-    edges = []
+    Malformed lines, self-loops and a pair listed with two different
+    weights report their 1-based line number."""
+    edges: dict[tuple[int, int], tuple[float, int]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -175,6 +176,11 @@ def load_edge_list(path) -> WeightedGraph:
             j = _int_token(tokens[1], path, lineno)
             if i < 0 or j < 0:
                 raise ValueError(f"{path}:{lineno}: negative node index")
+            if i == j:
+                raise ValueError(
+                    f"{path}:{lineno}: self-loop ({i}, {i}) not allowed"
+                )
+            w = 1.0
             if len(tokens) == 3:
                 try:
                     w = float(tokens[2])
@@ -182,13 +188,18 @@ def load_edge_list(path) -> WeightedGraph:
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric weight {tokens[2]!r}"
                     ) from None
-                edges.append((i, j, w))
-            else:
-                edges.append((i, j, 1.0))
+            key = (min(i, j), max(i, j))
+            seen = edges.setdefault(key, (w, lineno))
+            if seen[0] != w:
+                raise ValueError(
+                    f"{path}:{lineno}: edge {key} has weight {w!r}, but line "
+                    f"{seen[1]} gave it {seen[0]!r}"
+                )
     if not edges:
         raise ValueError(f"{path}: no edges found")
-    deduped = sorted({(min(i, j), max(i, j), w) for i, j, w in edges})
-    return build_weighted_graph(deduped)
+    return build_weighted_graph(
+        sorted((i, j, w) for (i, j), (w, _) in edges.items())
+    )
 
 
 def load_features(path, n: int) -> np.ndarray:

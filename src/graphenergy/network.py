@@ -65,7 +65,6 @@ class ModelConfig:
     variant: str = VARIANT_POST_LN
     attention: AttentionKind = field(default_factory=AttentionKind)
     ffn_expansion: int = 2
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -81,8 +80,6 @@ class ModelConfig:
             raise ValueError("heads must divide hidden_dim")
         if self.ffn_expansion < 1:
             raise ValueError("ffn_expansion must be at least 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
 
@@ -216,10 +213,10 @@ def feed_forward(X: np.ndarray, layer: LayerParams) -> np.ndarray:
     return hidden @ layer.ffn_w2 + layer.ffn_b2
 
 
-def _head_aggregations(X, layer, G, kind):
+def _head_operators(X, layer, G, kind):
     for head_params in layer.attention:
         scores = symmetrize_scores(attention_scores(kind, head_params, G, X))
-        yield attention_weighted_graph(scores, build_graph_view=False)
+        yield attention_weighted_graph(scores)
 
 
 def message_passing(
@@ -230,8 +227,8 @@ def message_passing(
 ) -> np.ndarray:
     """Multi-head softmax aggregation followed by the output map."""
     parts = [
-        agg.apply(X) @ V
-        for agg, V in zip(_head_aggregations(X, layer, G, kind), layer.values)
+        (P @ X) @ V
+        for P, V in zip(_head_operators(X, layer, G, kind), layer.values)
     ]
     return np.concatenate(parts, axis=1) @ layer.out_weight
 
@@ -250,10 +247,10 @@ def nonlocal_message_passing(
     n = X.shape[0]
     parts = []
     mults = np.empty(len(layer.values))
-    for h, (agg, V) in enumerate(
-        zip(_head_aggregations(X, layer, G, kind), layer.values)
+    for h, (P, V) in enumerate(
+        zip(_head_operators(X, layer, G, kind), layer.values)
     ):
-        PX = agg.apply(X)
+        PX = P @ X
         s = float(((PX - X) ** 2).sum()) / n
         mults[h] = s
         parts.append(s * (PX @ V))
@@ -284,12 +281,7 @@ def forward_trajectory(
             f"skip_layer must lie in [1, {config.depth}], got {skip_layer}"
         )
 
-    H = X_in
-    if config.dropout > 0.0:
-        keep = 1.0 - config.dropout
-        mask = np.random.default_rng(config.seed ^ 0x5EED).random(H.shape) < keep
-        H = H * mask / keep
-    X = np.maximum(H @ params.encoder_w1 + params.encoder_b1, 0.0)
+    X = np.maximum(X_in @ params.encoder_w1 + params.encoder_b1, 0.0)
     X = X @ params.encoder_w2 + params.encoder_b2
     if not np.all(np.isfinite(X)):
         raise NonFiniteLayerError(0)
@@ -333,49 +325,3 @@ def forward_trajectory(
         source=config.variant,
     )
 
-
-def config_to_text(config: ModelConfig) -> str:
-    """Flat key-value serialization of a model config."""
-    lines = [
-        f"input_dim = {config.input_dim}",
-        f"output_dim = {config.output_dim}",
-        f"depth = {config.depth}",
-        f"hidden_dim = {config.hidden_dim}",
-        f"heads = {config.heads}",
-        f"variant = {config.variant}",
-        f"attention_variant = {config.attention.variant}",
-        f"attention_leaky_slope = {config.attention.leaky_slope}",
-        f"ffn_expansion = {config.ffn_expansion}",
-        f"dropout = {config.dropout}",
-        f"seed = {config.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def config_from_text(text: str) -> ModelConfig:
-    """Inverse of :func:`config_to_text`."""
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
-    kind = AttentionKind(
-        variant=fields.get("attention_variant", "san"),
-        leaky_slope=float(fields.get("attention_leaky_slope", 0.2)),
-    )
-    return ModelConfig(
-        input_dim=int(fields["input_dim"]),
-        output_dim=int(fields["output_dim"]),
-        depth=int(fields["depth"]),
-        hidden_dim=int(fields.get("hidden_dim", 32)),
-        heads=int(fields.get("heads", 1)),
-        variant=fields.get("variant", VARIANT_POST_LN),
-        attention=kind,
-        ffn_expansion=int(fields.get("ffn_expansion", 2)),
-        dropout=float(fields.get("dropout", 0.0)),
-        seed=int(fields.get("seed", 0)),
-    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from graphenergy.dynamics import _initial_state
 from graphenergy.graph import WeightedGraph, build_weighted_graph
 
 P3_EDGES = [(0, 1, 1.0), (1, 2, 1.0)]
@@ -81,3 +82,25 @@ def random_graph(rng: np.random.Generator, n: int, admissible: bool = False):
         measure = rng.uniform(0.5, 4.0, size=n)
     G = build_weighted_graph(edges, measure=measure, n=n)
     return G, edges
+
+
+def rk4_reference(G, X0, rhs, dt: float, horizon: float):
+    """Classical fixed-step Runge-Kutta. Test oracle only.
+
+    ``rhs`` maps a state to its derivative; returns (times, states) at
+    every step.
+    """
+    X = _initial_state(G, X0)
+    steps = int(np.ceil(horizon / dt))
+    times, states = [0.0], [X.copy()]
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(X)
+        k2 = rhs(X + 0.5 * dt * k1)
+        k3 = rhs(X + 0.5 * dt * k2)
+        k4 = rhs(X + dt * k3)
+        X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        times.append(t)
+        states.append(X.copy())
+    return np.asarray(times), states

@@ -20,17 +20,38 @@ from conftest import random_graph
 
 
 def _edge_value(scores, i, j):
-    lo, hi = scores.indptr[i], scores.indptr[i + 1]
-    row = scores.indices[lo:hi]
+    G = scores.graph
+    lo, hi = G.indptr[i], G.indptr[i + 1]
+    row = G.indices[lo:hi]
     return scores.values[lo:hi][row.tolist().index(j)]
+
+
+def induced_graph_oracle(scores):
+    """Weighted graph with ``w_ij = exp(e_ij)`` and
+    ``mu_i = exp(e_ii) + sum_l exp(e_il)``; its aggregation operator is the
+    closed-neighborhood softmax of symmetric scores ``e``."""
+    G = scores.graph
+    src, dst = np.repeat(np.arange(G.n), np.diff(G.indptr)), G.indices
+    w = np.exp(scores.values)
+    mu = np.exp(scores.diagonal) + np.bincount(src, weights=w, minlength=G.n)
+    upper = src < dst
+    edges = np.column_stack([src[upper], dst[upper], w[upper]])
+    return build_weighted_graph(edges, measure=mu, n=G.n)
 
 
 class TestScores:
     def test_uniform_all_ones(self, p3):
         scores = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
                                   np.zeros((3, 2)))
+        assert scores.graph is p3
         assert np.all(scores.values == 1.0)
         assert np.all(scores.diagonal == 1.0)
+
+    def test_shape_mismatch_rejected(self, p3):
+        with pytest.raises(ValueError, match="edge list"):
+            EdgeScores(graph=p3, values=np.ones(3), diagonal=np.ones(3))
+        with pytest.raises(ValueError, match="diagonal"):
+            EdgeScores(graph=p3, values=np.ones(4), diagonal=np.ones(2))
 
     def test_additive_zero_vector_gives_zero(self, p3):
         rng = np.random.default_rng(0)
@@ -86,13 +107,12 @@ class TestSymmetrize:
         values = base.values.copy()
         # edge (0,1) gets 0, edge (1,0) gets 2
         src = np.repeat([0, 1, 1, 2], 1)
-        for k, (i, j) in enumerate(zip(src, base.indices)):
+        for k, (i, j) in enumerate(zip(src, p3.indices)):
             if (i, j) == (0, 1):
                 values[k] = 0.0
             elif (i, j) == (1, 0):
                 values[k] = 2.0
-        scores = EdgeScores(n=3, indptr=base.indptr, indices=base.indices,
-                            values=values, diagonal=base.diagonal)
+        scores = EdgeScores(graph=p3, values=values, diagonal=base.diagonal)
         sym = symmetrize_scores(scores)
         assert _edge_value(sym, 0, 1) == 1.0
         assert _edge_value(sym, 1, 0) == 1.0
@@ -125,8 +145,7 @@ class TestInducedAggregation:
     def test_uniform_scores_uniform_rows(self, p3):
         scores = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
                                   np.zeros((3, 1)))
-        agg = attention_weighted_graph(scores)
-        P = agg.apply(np.eye(3))
+        P = attention_weighted_graph(scores) @ np.eye(3)
         assert_allclose(P[0], [0.5, 0.5, 0.0], rtol=1e-14)
         assert_allclose(P[1], [1 / 3, 1 / 3, 1 / 3], rtol=1e-14)
 
@@ -134,10 +153,9 @@ class TestInducedAggregation:
         # node 0: diagonal score 0, edge score 1 -> P_01 = e/(1+e)
         base = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
                                 np.zeros((3, 1)))
-        scores = EdgeScores(n=3, indptr=base.indptr, indices=base.indices,
-                            values=np.ones_like(base.values),
+        scores = EdgeScores(graph=p3, values=np.ones_like(base.values),
                             diagonal=np.zeros(3))
-        P = attention_weighted_graph(scores).apply(np.eye(3))
+        P = attention_weighted_graph(scores) @ np.eye(3)
         e = np.e
         assert_allclose(P[0, 1], e / (1 + e), rtol=1e-14)
         assert_allclose(P[0, 0], 1 / (1 + e), rtol=1e-14)
@@ -152,8 +170,7 @@ class TestInducedAggregation:
             G,
             rng.normal(size=(25, 4)),
         )
-        agg = attention_weighted_graph(symmetrize_scores(scores))
-        P = agg.apply(np.eye(25))
+        P = attention_weighted_graph(symmetrize_scores(scores)) @ np.eye(25)
         assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert P.min() >= 0.0
         assert np.all(P[np.arange(25), np.arange(25)] > 0.0)
@@ -163,8 +180,7 @@ class TestInducedAggregation:
                                 np.zeros((3, 1)))
         vals = base.values.copy()
         vals[0] += 1.0
-        bad = EdgeScores(n=3, indptr=base.indptr, indices=base.indices,
-                         values=vals, diagonal=base.diagonal)
+        bad = EdgeScores(graph=p3, values=vals, diagonal=base.diagonal)
         with pytest.raises(ValueError, match="symmetric"):
             attention_weighted_graph(bad)
 
@@ -175,12 +191,11 @@ class TestInducedAggregation:
             AttentionKind("san"),
             AttentionParams(key=rng.normal(size=(3, 3)), query=rng.normal(size=(3, 3))),
             G, rng.normal(size=(14, 3))))
-        shifted = EdgeScores(n=14, indptr=scores.indptr, indices=scores.indices,
-                             values=scores.values + 37.0,
+        shifted = EdgeScores(graph=G, values=scores.values + 37.0,
                              diagonal=scores.diagonal + 37.0)
         X = rng.normal(size=(14, 5))
-        base = attention_weighted_graph(scores, build_graph_view=False).apply(X)
-        moved = attention_weighted_graph(shifted, build_graph_view=False).apply(X)
+        base = attention_weighted_graph(scores) @ X
+        moved = attention_weighted_graph(shifted) @ X
         assert_allclose(moved, base, rtol=0, atol=1e-12 * np.abs(base).max())
 
     def test_graph_view_matches_applier(self):
@@ -191,25 +206,22 @@ class TestInducedAggregation:
             AttentionParams(key=0.3 * rng.normal(size=(3, 3)),
                             query=0.3 * rng.normal(size=(3, 3))),
             G, rng.normal(size=(10, 3))))
-        agg = attention_weighted_graph(scores)
-        assert agg.graph is not None
-        assert agg.graph.aggregation_admissible
+        induced = induced_graph_oracle(scores)
+        assert induced.aggregation_admissible
         X = rng.normal(size=(10, 4))
         assert_allclose(
-            aggregate_apply(agg.graph, X),
-            agg.apply(X),
+            aggregate_apply(induced, X),
+            attention_weighted_graph(scores) @ X,
             rtol=0,
             atol=1e-12 * np.abs(X).max(),
         )
 
-    def test_graph_view_withheld_for_huge_scores(self, p3):
+    def test_huge_scores_stay_finite(self, p3):
         base = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
                                 np.zeros((3, 1)))
-        hot = EdgeScores(n=3, indptr=base.indptr, indices=base.indices,
-                         values=base.values * 80.0, diagonal=base.diagonal * 80.0)
-        agg = attention_weighted_graph(hot)
-        assert agg.graph is None
-        out = agg.apply(np.eye(3))
+        hot = EdgeScores(graph=p3, values=base.values * 80.0,
+                         diagonal=base.diagonal * 80.0)
+        out = attention_weighted_graph(hot) @ np.eye(3)
         assert np.all(np.isfinite(out))
         assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
@@ -219,7 +231,6 @@ class TestInducedAggregation:
             AttentionKind("san"),
             AttentionParams(key=rng.normal(size=(2, 2)), query=rng.normal(size=(2, 2))),
             p3, np.ones((3, 2)) * 1.7))
-        agg = attention_weighted_graph(scores, build_graph_view=False)
         X = np.ones((3, 4)) * 2.2
-        out = agg.apply(X)
+        out = attention_weighted_graph(scores) @ X
         assert_allclose(out, X, rtol=0, atol=1e-12)

@@ -10,7 +10,6 @@ from graphenergy.dynamics import (
     FlowSpec,
     FlowTrajectory,
     estimate_lambda_max,
-    rk4_reference,
     simulate_heat,
     simulate_nonlocal,
     simulate_preln_flow,
@@ -24,7 +23,7 @@ from graphenergy.graph import (
     laplacian_apply,
 )
 
-from conftest import random_graph
+from conftest import random_graph, rk4_reference
 
 
 def heat_expm_oracle(G, X0, t):
@@ -66,6 +65,14 @@ class TestLambdaMax:
         exact = dense_spectrum(G)[-1]
         monkeypatch.setattr(dyn, "_DENSE_SPECTRUM_LIMIT", 10)
         assert estimate_lambda_max(G) == pytest.approx(exact, rel=1e-9)
+
+    def test_sparse_path_is_reproducible(self):
+        # above the dense limit: Lanczos from a fixed start vector
+        G, _ = random_graph(np.random.default_rng(4), n=2001)
+        first = estimate_lambda_max(G)
+        assert estimate_lambda_max(G) == first
+        exact = dense_spectrum(G, max_nodes=G.n)[-1]
+        assert first == pytest.approx(exact, rel=1e-10)
 
 
 class TestHeat:

@@ -205,6 +205,20 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="negative node index"):
             load_edge_list(f)
 
+    def test_self_loop_reports_line(self, tmp_path):
+        f = tmp_path / "loop.txt"
+        f.write_text("0 1\n2 2\n")
+        with pytest.raises(ValueError, match=r"loop\.txt:2: self-loop \(2, 2\)"):
+            load_edge_list(f)
+
+    def test_conflicting_weights_report_both_lines(self, tmp_path):
+        f = tmp_path / "clash.txt"
+        f.write_text("0 1 2.0\n1 2\n1 0 3.0\n")
+        with pytest.raises(
+            ValueError, match=r"clash\.txt:3: edge \(0, 1\) has weight 3\.0, but line 1"
+        ):
+            load_edge_list(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("# only a comment\n")

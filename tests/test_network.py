@@ -12,8 +12,6 @@ from graphenergy.network import (
     LayerParams,
     ModelConfig,
     NonFiniteLayerError,
-    config_from_text,
-    config_to_text,
     feed_forward,
     forward_trajectory,
     init_model,
@@ -61,22 +59,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="depth"):
             ModelConfig(input_dim=3, output_dim=2, depth=-1)
 
-    def test_expansion_and_dropout_bounds(self):
+    def test_expansion_bounds(self):
         with pytest.raises(ValueError, match="expansion"):
             ModelConfig(input_dim=3, output_dim=2, depth=1, ffn_expansion=0)
-        with pytest.raises(ValueError, match="dropout"):
-            ModelConfig(input_dim=3, output_dim=2, depth=1, dropout=1.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             ModelConfig(input_dim=3, output_dim=2, depth=1, variant="sandwich_ln")
-
-    def test_text_round_trip(self):
-        cfg = ModelConfig(input_dim=5, output_dim=3, depth=4, hidden_dim=8,
-                          heads=2, variant="pre_ln",
-                          attention=AttentionKind("gat", leaky_slope=0.1),
-                          ffn_expansion=3, seed=11)
-        assert config_from_text(config_to_text(cfg)) == cfg
 
 
 class TestInit:
