@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -33,7 +35,7 @@ from graphenergy.diagnostics import (
     cosine_similarity_matrix,
     energy_series,
     fit_decay,
-    prune_layer_deviation,
+    prune_scan,
     relative_change_series,
 )
 from graphenergy.dynamics import (
@@ -64,6 +66,7 @@ from graphenergy.ingest import (
 from graphenergy.network import (
     MODEL_VARIANTS,
     ModelConfig,
+    NonFiniteLayerError,
     forward_trajectory,
     init_model,
 )
@@ -124,17 +127,18 @@ class SweepSpec:
 class SweepJob:
     """Result of one (variant, depth, seed) cell. ``error`` holds the
     failure message when ``ok`` is False and the numeric fields are
-    None."""
+    None; ``layer`` is then the layer index of a non-finite failure."""
 
     variant: str
     depth: int
     seed: int
     ok: bool
-    error: str | None
-    series: EnergySeries | None
-    final_energy: float | None
-    fit: FitReport | None
-    stall: StallVerdict | None
+    error: str | None = None
+    series: EnergySeries | None = None
+    final_energy: float | None = None
+    fit: FitReport | None = None
+    stall: StallVerdict | None = None
+    layer: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,88 +166,130 @@ def run_sweep(
 ) -> SweepResult:
     """Forward every (variant, depth, seed) cell at initialization and
     measure it; optionally write the per-job artifact tree under
-    ``out_dir``. Job failures are recorded, not raised."""
+    ``out_dir``. Job failures are recorded, not raised.
+
+    Parameters are drawn layer by layer from one seeded stream, so a
+    depth-d stack is the first d layers of a deeper one with the same
+    seed: each (variant, seed) runs and measures once at the deepest
+    depth, and every depth takes its prefix. One progress line per
+    (variant, seed) goes to stderr.
+    """
     X = random_features(
         G.n, spec.input_dim, seed=spec.feature_seed, scale=spec.feature_scale
     )
     config_hash = _config_hash(_sweep_meta(G, spec))
-    cells = [
-        (variant, depth, seed)
+    units = [(variant, seed) for variant in spec.variants for seed in spec.seeds]
+    packed = [(G, X, spec, unit, out_dir, config_hash) for unit in units]
+    cells = {}
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            )
+            finished = pool.map(_run_trajectory, packed)
+        else:
+            finished = map(_run_trajectory, packed)
+        for i, ((variant, seed), (jobs, seconds)) in enumerate(
+            zip(units, finished), start=1
+        ):
+            failed = [str(j.depth) for j in jobs if not j.ok]
+            outcome = f"failed at depths {','.join(failed)}" if failed else "ok"
+            print(
+                f"sweep [{i}/{len(units)}] {variant} seed {seed} depths "
+                f"{','.join(str(d) for d in spec.depths)}: {outcome}, "
+                f"{seconds:.1f} s",
+                file=sys.stderr,
+            )
+            cells.update(((variant, j.depth, seed), j) for j in jobs)
+
+    jobs = tuple(
+        cells[variant, depth, seed]
         for variant in spec.variants
         for depth in spec.depths
         for seed in spec.seeds
-    ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = list(
-                pool.map(
-                    _run_cell,
-                    [(G, X, spec, cell, out_dir, config_hash) for cell in cells],
-                )
-            )
-    else:
-        jobs = [_run_cell((G, X, spec, cell, out_dir, config_hash)) for cell in cells]
-
-    result = SweepResult(jobs=tuple(jobs), out_dir=out_dir, config_hash=config_hash)
+    )
+    result = SweepResult(jobs=jobs, out_dir=out_dir, config_hash=config_hash)
     if out_dir is not None:
         _write_sweep_summary(result, G, spec)
     return result
 
 
-def _run_cell(packed) -> SweepJob:
-    G, X, spec, (variant, depth, seed), out_dir, config_hash = packed
+def _run_trajectory(packed) -> tuple[list[SweepJob], float]:
+    """Run one (variant, seed) at the deepest depth and build every
+    depth's job from its prefix; returns the jobs and the wall seconds.
+
+    A non-finite layer k fails only the depths that reach it; the finite
+    prefix still serves every shallower depth. Any other failure fails
+    every depth.
+    """
+    G, X, spec, (variant, seed), out_dir, config_hash = packed
+    start = time.perf_counter()
     cfg = ModelConfig(
         input_dim=spec.input_dim,
         output_dim=spec.output_dim,
-        depth=depth,
+        depth=max(spec.depths),
         hidden_dim=spec.hidden_dim,
         heads=spec.heads,
         variant=variant,
         attention=spec.attention,
         seed=seed,
     )
+    states, failure = (), None
     try:
-        trajectory = forward_trajectory(init_model(cfg), cfg, G, X)
-        series = energy_series(trajectory, spec.energy_order, topology=G)
         try:
-            fit = fit_decay(series)
-        except ValueError:  # shallow stacks have too few points
-            fit = None
-        stall = (
-            relative_change_series(series).verdict
-            if series.values.size >= 2
-            else None
-        )
-    except Exception as exc:  # capture per-job, keep the sweep alive
-        job = SweepJob(
-            variant=variant,
-            depth=depth,
-            seed=seed,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            series=None,
-            final_energy=None,
-            fit=None,
-            stall=None,
-        )
-        if out_dir is not None:
-            _write_job_error(out_dir, job, config_hash)
-        return job
+            trajectory = forward_trajectory(init_model(cfg), cfg, G, X)
+        except NonFiniteLayerError as exc:
+            trajectory, failure = exc.trajectory, exc
+        if min(spec.depths) < len(trajectory.states):
+            series = energy_series(trajectory, spec.energy_order, topology=G)
+            states = trajectory.states
+    except Exception as exc:  # capture per trajectory, keep the sweep alive
+        states, failure = (), exc
 
-    job = SweepJob(
-        variant=variant,
-        depth=depth,
-        seed=seed,
-        ok=True,
-        error=None,
-        series=series,
-        final_energy=float(series.values[-1]),
-        fit=fit,
-        stall=stall,
-    )
-    if out_dir is not None:
-        _write_job_files(out_dir, job, trajectory, spec, config_hash)
-    return job
+    jobs = []
+    for depth in spec.depths:
+        try:
+            if depth >= len(states):
+                raise failure  # this depth reaches the failed layer
+            prefix = EnergySeries(
+                indices=series.indices[: depth + 1],
+                values=series.values[: depth + 1],
+                order=series.order,
+                source=series.source,
+            )
+            try:
+                fit = fit_decay(prefix)
+            except ValueError:  # shallow stacks have too few points
+                fit = None
+            changes = relative_change_series(prefix)
+        except Exception as exc:  # capture per job
+            job = SweepJob(
+                variant=variant,
+                depth=depth,
+                seed=seed,
+                ok=False,
+                error=f"{type(exc).__name__}: {exc}",
+                layer=exc.layer if isinstance(exc, NonFiniteLayerError) else None,
+            )
+            if out_dir is not None:
+                _write_job_error(out_dir, job, config_hash)
+        else:
+            job = SweepJob(
+                variant=variant,
+                depth=depth,
+                seed=seed,
+                ok=True,
+                series=prefix,
+                final_energy=float(prefix.values[-1]),
+                fit=fit,
+                stall=changes.verdict,
+            )
+            if out_dir is not None:
+                _write_job_files(
+                    out_dir, job, states[: depth + 1], changes.values, spec, config_hash
+                )
+        jobs.append(job)
+    return jobs, time.perf_counter() - start
 
 
 def _job_dir(out_dir: str, job: SweepJob) -> str:
@@ -252,7 +298,9 @@ def _job_dir(out_dir: str, job: SweepJob) -> str:
     )
 
 
-def _write_job_files(out_dir, job, trajectory, spec: SweepSpec, config_hash) -> None:
+def _write_job_files(
+    out_dir, job, states, changes, spec: SweepSpec, config_hash
+) -> None:
     directory = _job_dir(out_dir, job)
     ensure_directory(directory)
     meta = _csv_meta(config_hash, job.seed)
@@ -263,7 +311,6 @@ def _write_job_files(out_dir, job, trajectory, spec: SweepSpec, config_hash) -> 
         ("layer", "energy"),
         (series.indices, series.values),
     )
-    changes = relative_change_series(series).values if series.values.size >= 2 else []
     _write_csv(
         os.path.join(directory, "relative_change.csv"),
         meta,
@@ -271,8 +318,8 @@ def _write_job_files(out_dir, job, trajectory, spec: SweepSpec, config_hash) -> 
         (series.indices[1:], changes),
     )
     if spec.write_cosine:
-        keep = _subsample(len(trajectory.states), COSINE_LAYER_CAP)
-        sub = SimpleNamespace(states=tuple(trajectory.states[k] for k in keep))
+        keep = _subsample(len(states), COSINE_LAYER_CAP)
+        sub = SimpleNamespace(states=tuple(states[k] for k in keep))
         matrix = cosine_similarity_matrix(sub)
         _write_csv(
             os.path.join(directory, "cosine.csv"),
@@ -283,7 +330,7 @@ def _write_job_files(out_dir, job, trajectory, spec: SweepSpec, config_hash) -> 
     if spec.dump_states:
         states_dir = os.path.join(directory, "states")
         ensure_directory(states_dir)
-        for k, state in enumerate(trajectory.states):
+        for k, state in enumerate(states):
             write_matrix(
                 os.path.join(states_dir, f"layer-{k:03d}.csv"),
                 state,
@@ -311,6 +358,7 @@ def _write_job_error(out_dir, job: SweepJob, config_hash) -> None:
             "depth": job.depth,
             "seed": job.seed,
             "error": job.error,
+            "layer": job.layer,
         },
         config_hash,
         job.seed,
@@ -332,6 +380,7 @@ def _write_sweep_summary(result: SweepResult, G: WeightedGraph, spec: SweepSpec)
                 "depth": j.depth,
                 "seed": j.seed,
                 "error": j.error,
+                "layer": j.layer,
             }
             for j in result.jobs
             if not j.ok
@@ -740,10 +789,8 @@ def cmd_prune(args) -> int:
             attention=attention,
             seed=seed,
         )
-        params = init_model(cfg)
-        for layer in args.layers:
-            report = prune_layer_deviation(params, cfg, G, X, layer)
-            rows.append((layer, seed, report.deviation, report.mean_cosine))
+        for report in prune_scan(init_model(cfg), cfg, G, X, args.layers):
+            rows.append((report.layer, seed, report.deviation, report.mean_cosine))
 
     meta = {
         "graph": label,

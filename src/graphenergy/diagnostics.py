@@ -13,6 +13,7 @@ on, so numbers from different architectures are comparable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ from graphenergy.network import (
     ModelConfig,
     ModelParams,
     forward_trajectory,
+    pruned_output,
 )
 
 R_SQUARED_FLOOR = 0.95
@@ -331,6 +333,45 @@ def fit_decay(series: EnergySeries, window="auto") -> FitReport:
     )
 
 
+def prune_scan(
+    params: ModelParams,
+    config: ModelConfig,
+    G: WeightedGraph,
+    X_in: np.ndarray,
+    layers: Iterable[int],
+) -> tuple[PruneReport, ...]:
+    """Compare decoder outputs of the intact stack against the stack with
+    one layer's input passed through untouched, for each of ``layers``.
+
+    ``deviation`` is the relative Frobenius distance between the two
+    outputs; ``mean_cosine`` averages per-node cosine similarity. Layer
+    indices are 1-based, matching ``forward_trajectory``. The intact stack
+    runs once, and each pruned stack resumes from its recorded states, so
+    only the layers after the skipped one are recomputed.
+    """
+    intact = forward_trajectory(params, config, G, X_in)
+    reference = intact.decoder_output
+    scale = np.linalg.norm(reference)
+    if scale == 0:
+        raise ValueError("reference output is identically zero")
+    ref_norms = np.linalg.norm(reference, axis=1)
+    reports = []
+    for layer in layers:
+        candidate = pruned_output(params, config, G, intact, layer)
+        cand_norms = np.linalg.norm(candidate, axis=1)
+        ok = (ref_norms > 0) & (cand_norms > 0)
+        cosines = np.full(reference.shape[0], np.nan)
+        cosines[ok] = (reference[ok] * candidate[ok]).sum(axis=1) / (
+            ref_norms[ok] * cand_norms[ok]
+        )
+        reports.append(PruneReport(
+            layer=layer,
+            deviation=float(np.linalg.norm(candidate - reference) / scale),
+            mean_cosine=float(np.nanmean(cosines)),
+        ))
+    return tuple(reports)
+
+
 def prune_layer_deviation(
     params: ModelParams,
     config: ModelConfig,
@@ -338,34 +379,8 @@ def prune_layer_deviation(
     X_in: np.ndarray,
     layer: int,
 ) -> PruneReport:
-    """Compare decoder outputs of the intact stack against the stack with
-    one layer's input passed through untouched.
-
-    ``deviation`` is the relative Frobenius distance between the two
-    outputs; ``mean_cosine`` averages per-node cosine similarity. Layer
-    indices are 1-based, matching ``forward_trajectory``.
-    """
-    full = forward_trajectory(params, config, G, X_in)
-    pruned = forward_trajectory(params, config, G, X_in, skip_layer=layer)
-    reference = full.decoder_output
-    candidate = pruned.decoder_output
-    scale = np.linalg.norm(reference)
-    if scale == 0:
-        raise ValueError("reference output is identically zero")
-    deviation = float(np.linalg.norm(candidate - reference) / scale)
-
-    ref_norms = np.linalg.norm(reference, axis=1)
-    cand_norms = np.linalg.norm(candidate, axis=1)
-    ok = (ref_norms > 0) & (cand_norms > 0)
-    cosines = np.full(reference.shape[0], np.nan)
-    cosines[ok] = (reference[ok] * candidate[ok]).sum(axis=1) / (
-        ref_norms[ok] * cand_norms[ok]
-    )
-    return PruneReport(
-        layer=layer,
-        deviation=deviation,
-        mean_cosine=float(np.nanmean(cosines)),
-    )
+    """:func:`prune_scan` of a single layer."""
+    return prune_scan(params, config, G, X_in, (layer,))[0]
 
 
 def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:

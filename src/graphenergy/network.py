@@ -46,11 +46,17 @@ LAYER_NORM_EPS = 1e-5
 
 
 class NonFiniteLayerError(RuntimeError):
-    """A forward pass produced a non-finite value; carries the layer index."""
+    """A forward pass produced a non-finite value at ``layer``.
 
-    def __init__(self, layer: int):
+    ``trajectory`` is the finite prefix X^0 .. X^(layer-1) as recorded by
+    :func:`forward_trajectory` (its ``decoder_output`` is None, since the
+    stack never reached the decoder), or None where no prefix was kept.
+    """
+
+    def __init__(self, layer: int, trajectory: LayerTrajectory | None = None):
         super().__init__(f"non-finite values appeared at layer {layer}")
         self.layer = layer
+        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,13 @@ class LayerTrajectory:
 
     ``multipliers[k]`` holds the gating scalars of layer k+1 (one per
     head) for the gated variant and None otherwise; pruned layers also
-    record None.
+    record None. ``decoder_output`` is None only on the finite prefix a
+    :class:`NonFiniteLayerError` carries.
     """
 
     states: tuple[np.ndarray, ...]
     encoder_input: np.ndarray
-    decoder_output: np.ndarray
+    decoder_output: np.ndarray | None
     multipliers: tuple[np.ndarray | None, ...]
     source: str
 
@@ -144,7 +151,10 @@ def init_model(config: ModelConfig) -> ModelParams:
 
     Weight matrices are variance-scaled uniform, biases zero, norm gains
     one. The draw order is fixed, so equal seeds give bitwise-equal
-    parameters.
+    parameters. Layers are drawn in order between the encoder and the
+    decoder, so a depth-d stack's layers are the first d layers of any
+    deeper stack with the same seed (its decoder is not); sweeps rely on
+    this to take shallow depths as prefixes of the deepest run.
     """
     rng = np.random.default_rng(config.seed)
     d, dh, e = config.hidden_dim, config.head_dim, config.ffn_expansion
@@ -257,6 +267,38 @@ def nonlocal_message_passing(
     return np.concatenate(parts, axis=1) @ layer.out_weight, mults
 
 
+def layer_step(
+    X: np.ndarray,
+    layer: LayerParams,
+    config: ModelConfig,
+    G: WeightedGraph,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One hidden layer in the configured wiring; returns the next state
+    and the layer's gating multipliers (None unless gated)."""
+    kind = config.attention
+    mult = None
+    if config.variant == VARIANT_PRE_LN:
+        Y = X + message_passing(
+            layer_norm(X, layer.norm1_gain, layer.norm1_bias), layer, G, kind
+        )
+        X = Y + feed_forward(layer_norm(Y, layer.norm2_gain, layer.norm2_bias), layer)
+    else:
+        if config.variant == VARIANT_NONLOCAL:
+            mp, mult = nonlocal_message_passing(X, layer, G, kind)
+        else:
+            mp = message_passing(X, layer, G, kind)
+        Y = layer_norm(X + mp, layer.norm1_gain, layer.norm1_bias)
+        X = layer_norm(Y + feed_forward(Y, layer), layer.norm2_gain, layer.norm2_bias)
+    return X, mult
+
+
+def _check_skip_layer(config: ModelConfig, skip_layer: int | None) -> None:
+    if skip_layer is not None and not 1 <= skip_layer <= config.depth:
+        raise ValueError(
+            f"skip_layer must lie in [1, {config.depth}], got {skip_layer}"
+        )
+
+
 def forward_trajectory(
     params: ModelParams,
     config: ModelConfig,
@@ -268,7 +310,8 @@ def forward_trajectory(
 
     ``skip_layer`` (1-based) passes that layer's input through untouched,
     which is the pruning used by the depth diagnostics. Non-finite values
-    raise :class:`NonFiniteLayerError` with the offending layer index.
+    raise :class:`NonFiniteLayerError` with the offending layer index and
+    the finite prefix recorded before it.
     """
     X_in = np.asarray(X_in, dtype=float)
     if X_in.ndim != 2 or X_in.shape != (G.n, config.input_dim):
@@ -276,52 +319,60 @@ def forward_trajectory(
             f"input of shape {X_in.shape} does not match "
             f"(n={G.n}, input_dim={config.input_dim})"
         )
-    if skip_layer is not None and not 1 <= skip_layer <= config.depth:
-        raise ValueError(
-            f"skip_layer must lie in [1, {config.depth}], got {skip_layer}"
+    _check_skip_layer(config, skip_layer)
+
+    states: list[np.ndarray] = []
+    multipliers: list[np.ndarray | None] = []
+
+    def recorded(decoded):
+        return LayerTrajectory(
+            states=tuple(states),
+            encoder_input=X_in,
+            decoder_output=decoded,
+            multipliers=tuple(multipliers),
+            source=config.variant,
         )
 
     X = np.maximum(X_in @ params.encoder_w1 + params.encoder_b1, 0.0)
     X = X @ params.encoder_w2 + params.encoder_b2
     if not np.all(np.isfinite(X)):
-        raise NonFiniteLayerError(0)
-
-    states = [X]
-    multipliers: list[np.ndarray | None] = []
-    kind = config.attention
+        raise NonFiniteLayerError(0, recorded(None))
+    states.append(X)
     for k, layer in enumerate(params.layers, start=1):
-        if skip_layer == k:
-            states.append(states[-1])
-            multipliers.append(None)
-            continue
-        X = states[-1]
         mult = None
-        if config.variant == VARIANT_PRE_LN:
-            Y = X + message_passing(
-                layer_norm(X, layer.norm1_gain, layer.norm1_bias), layer, G, kind
-            )
-            X = Y + feed_forward(
-                layer_norm(Y, layer.norm2_gain, layer.norm2_bias), layer
-            )
-        else:
-            if config.variant == VARIANT_NONLOCAL:
-                mp, mult = nonlocal_message_passing(X, layer, G, kind)
-            else:
-                mp = message_passing(X, layer, G, kind)
-            Y = layer_norm(X + mp, layer.norm1_gain, layer.norm1_bias)
-            X = layer_norm(Y + feed_forward(Y, layer), layer.norm2_gain,
-                           layer.norm2_bias)
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteLayerError(k)
+        if skip_layer != k:
+            X, mult = layer_step(X, layer, config, G)
+            if not np.all(np.isfinite(X)):
+                raise NonFiniteLayerError(k, recorded(None))
         states.append(X)
         multipliers.append(mult)
+    return recorded(_decode(params, X))
 
-    decoded = states[-1] @ params.decoder_w + params.decoder_b
-    return LayerTrajectory(
-        states=tuple(states),
-        encoder_input=X_in,
-        decoder_output=decoded,
-        multipliers=tuple(multipliers),
-        source=config.variant,
-    )
 
+def pruned_output(
+    params: ModelParams,
+    config: ModelConfig,
+    G: WeightedGraph,
+    intact: LayerTrajectory,
+    skip_layer: int,
+) -> np.ndarray:
+    """Decoder output of the stack with ``skip_layer`` passed through,
+    resumed from the intact run of the same stack and input.
+
+    Layers before the skipped one compute exactly what ``intact`` already
+    recorded, so state ``skip_layer - 1`` stands in for state
+    ``skip_layer`` and only the layers after it run. The result is
+    bitwise equal to ``forward_trajectory(..., skip_layer=skip_layer)
+    .decoder_output``.
+    """
+    _check_skip_layer(config, skip_layer)
+    X = intact.states[skip_layer - 1]
+    for k in range(skip_layer + 1, len(params.layers) + 1):
+        X, _ = layer_step(X, params.layers[k - 1], config, G)
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteLayerError(k)
+    return _decode(params, X)
+
+
+def _decode(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    return X @ params.decoder_w + params.decoder_b

@@ -1,12 +1,21 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import graphenergy.cli as cli
+from graphenergy.attention import AttentionKind
 from graphenergy.cli import SweepSpec, main, run_sweep, surrogate_spec
-from graphenergy.ingest import generate_graph, write_matrix
+from graphenergy.diagnostics import energy_series, fit_decay, relative_change_series
+from graphenergy.ingest import (
+    SyntheticSpec,
+    generate_graph,
+    random_features,
+    write_matrix,
+)
+from graphenergy.network import ModelConfig, forward_trajectory, init_model
 
 
 def read_file_map(root):
@@ -179,6 +188,118 @@ class TestSweep:
     def test_invalid_depths(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--depths", "two", "--out", str(tmp_path / "x")])
+
+
+class TestSweepPrefixes:
+    """Each (variant, seed) runs once at the deepest depth; every cell must
+    still match a run at its own depth."""
+
+    SPEC = SweepSpec(
+        depths=(2, 5, 8),
+        seeds=(0, 1),
+        attention=AttentionKind("gat"),
+        heads=2,
+        hidden_dim=8,
+        input_dim=4,
+        output_dim=3,
+    )
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_graph(SyntheticSpec(
+            kind="sbm", block_sizes=(15, 15),
+            block_probs=((0.4, 0.05), (0.05, 0.4)), seed=0,
+        ))
+
+    def oracle(self, G, variant, depth, seed):
+        spec = self.SPEC
+        cfg = ModelConfig(
+            input_dim=spec.input_dim, output_dim=spec.output_dim, depth=depth,
+            hidden_dim=spec.hidden_dim, heads=spec.heads, variant=variant,
+            attention=spec.attention, seed=seed,
+        )
+        X = random_features(G.n, spec.input_dim, seed=spec.feature_seed)
+        series = energy_series(
+            forward_trajectory(init_model(cfg), cfg, G, X), topology=G
+        )
+        try:
+            fit = fit_decay(series)
+        except ValueError:
+            fit = None
+        return series, fit, relative_change_series(series).verdict
+
+    def test_every_cell_matches_its_own_depth(self, graph, capsys):
+        result = run_sweep(graph, self.SPEC)
+        assert result.all_ok
+        cells = [(j.variant, j.depth, j.seed) for j in result.jobs]
+        assert cells == [
+            (v, d, s) for v in self.SPEC.variants for d in (2, 5, 8) for s in (0, 1)
+        ]
+        for job in result.jobs:
+            series, fit, stall = self.oracle(graph, job.variant, job.depth, job.seed)
+            assert job.series.values.tobytes() == series.values.tobytes()
+            assert job.series.indices.tobytes() == series.indices.tobytes()
+            assert repr(job.fit) == repr(fit)
+            assert repr(job.stall) == repr(stall)
+        assert sum(j.fit is None for j in result.jobs) == 6  # depth 2 is too short
+
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 6
+        assert lines[0].startswith("sweep [1/6] post_ln seed 0 depths 2,5,8: ok, ")
+        assert lines[-1].startswith("sweep [6/6] nonlocal_post_ln seed 1 depths")
+
+    def test_nonfinite_layer_fails_only_deeper_cells(
+        self, graph, tmp_path, monkeypatch, capsys
+    ):
+        real = cli.init_model
+
+        def poisoned(config):
+            params = real(config)
+            layers = list(params.layers)
+            layers[4] = replace(layers[4], out_weight=layers[4].out_weight * np.inf)
+            return replace(params, layers=tuple(layers))
+
+        clean = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "clean"))
+        monkeypatch.setattr(cli, "init_model", poisoned)
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "bad"))
+        for job in result.jobs:
+            if job.depth == 2:
+                assert job.ok
+                assert job.series.values.tobytes() == clean.job(
+                    job.variant, 2, job.seed).series.values.tobytes()
+            else:
+                assert not job.ok and job.layer == 5
+                assert job.error == (
+                    "NonFiniteLayerError: non-finite values appeared at layer 5"
+                )
+
+        clean_files = read_file_map(tmp_path / "clean")
+        bad_files = read_file_map(tmp_path / "bad")
+        shallow = [k for k in clean_files if os.sep + "depth-002" + os.sep in k]
+        assert len(shallow) == 6 * 4
+        for key in shallow:
+            assert bad_files[key] == clean_files[key], key
+        report = json.loads(bad_files[os.path.join(
+            "pre_ln", "depth-005", "seed-01", "report.json")])
+        assert report["layer"] == 5 and "layer 5" in report["error"]
+        summary = json.loads(bad_files["summary.json"])
+        assert [(f["variant"], f["depth"], f["seed"], f["layer"])
+                for f in summary["failures"]] == [
+            (v, d, s, 5) for v in self.SPEC.variants for d in (5, 8) for s in (0, 1)
+        ]
+        err = capsys.readouterr().err
+        assert "post_ln seed 0 depths 2,5,8: failed at depths 5,8" in err
+
+    def test_worker_pool_matches_serial(self, graph, tmp_path, capsys):
+        serial = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "serial"))
+        pooled = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "pooled"),
+                           workers=2)
+        assert [(j.variant, j.depth, j.seed) for j in pooled.jobs] == [
+            (j.variant, j.depth, j.seed) for j in serial.jobs
+        ]
+        assert read_file_map(tmp_path / "serial") == read_file_map(tmp_path / "pooled")
+        assert capsys.readouterr().err.count("[6/6]") == 2
 
 
 class TestFlow:

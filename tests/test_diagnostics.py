@@ -11,10 +11,12 @@ from graphenergy.diagnostics import (
     energy_series,
     fit_decay,
     prune_layer_deviation,
+    prune_scan,
     relative_change_series,
 )
 from graphenergy.dynamics import FlowSpec, simulate_heat
 from graphenergy.graph import build_weighted_graph
+from graphenergy.attention import AttentionKind
 from graphenergy.network import (
     LayerTrajectory,
     ModelConfig,
@@ -327,3 +329,35 @@ class TestPrune:
         X = np.ones((3, 2))
         with pytest.raises(ValueError, match="skip_layer"):
             prune_layer_deviation(params, cfg, p3, X, layer=3)
+
+    @pytest.mark.parametrize("variant", ("pre_ln", "nonlocal_post_ln"))
+    def test_scan_matches_skip_layer_oracle(self, variant):
+        rng = np.random.default_rng(40)
+        G, _ = random_graph(rng, 12)
+        X = rng.normal(size=(12, 3))
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=9, hidden_dim=8,
+                          heads=2, variant=variant,
+                          attention=AttentionKind("san"), seed=6)
+        params = init_model(cfg)
+        layers = (9, 1, 5)
+        reports = prune_scan(params, cfg, G, X, layers)
+        assert [r.layer for r in reports] == list(layers)
+
+        reference = forward_trajectory(params, cfg, G, X).decoder_output
+        ref_norms = np.linalg.norm(reference, axis=1)
+        for report in reports:
+            candidate = forward_trajectory(
+                params, cfg, G, X, skip_layer=report.layer).decoder_output
+            deviation = float(np.linalg.norm(candidate - reference)
+                              / np.linalg.norm(reference))
+            cosines = (reference * candidate).sum(axis=1) / (
+                ref_norms * np.linalg.norm(candidate, axis=1))
+            assert report.deviation == deviation
+            assert report.mean_cosine == float(np.nanmean(cosines))
+            assert report.deviation > 0
+
+    def test_scan_out_of_range_layer(self, p3):
+        cfg = ModelConfig(input_dim=2, output_dim=2, depth=2, hidden_dim=4)
+        params = init_model(cfg)
+        with pytest.raises(ValueError, match="skip_layer"):
+            prune_scan(params, cfg, p3, np.ones((3, 2)), (1, 0))

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from graphenergy.attention import AttentionKind, AttentionParams
+from graphenergy.attention import SCORE_VARIANTS, AttentionKind, AttentionParams
 from graphenergy.graph import build_weighted_graph
 from graphenergy.network import (
+    MODEL_VARIANTS,
     LayerParams,
     ModelConfig,
     NonFiniteLayerError,
@@ -18,6 +21,7 @@ from graphenergy.network import (
     layer_norm,
     message_passing,
     nonlocal_message_passing,
+    pruned_output,
 )
 
 from conftest import random_graph
@@ -301,6 +305,84 @@ class TestForward:
         traj = forward_trajectory(init_model(cfg), cfg, p3, X)
         for state in traj.states:
             assert_allclose(state - state[0], 0.0, atol=1e-10)
+
+
+class TestPrefixInvariant:
+    """A depth-d stack is the first d layers of any deeper stack with the
+    same seed; sweeps and pruning scans reuse states on that basis."""
+
+    @pytest.mark.parametrize("heads", (1, 2))
+    @pytest.mark.parametrize("score", SCORE_VARIANTS)
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_shallow_stack_is_prefix_of_deep(self, variant, score, heads):
+        rng = np.random.default_rng(30)
+        G, _ = random_graph(rng, 9)
+        X = rng.normal(size=(9, 3))
+
+        def config(depth):
+            return ModelConfig(input_dim=3, output_dim=2, depth=depth,
+                               hidden_dim=8, heads=heads, variant=variant,
+                               attention=AttentionKind(score), seed=4)
+
+        shallow_cfg, deep_cfg = config(3), config(7)
+        shallow, deep = init_model(shallow_cfg), init_model(deep_cfg)
+        assert _bits(shallow.layers) == _bits(deep.layers[:3])
+        assert _bits(shallow.encoder_w1) == _bits(deep.encoder_w1)
+        # the decoder is drawn after the layers, so it is not shared
+        assert _bits(shallow.decoder_w) != _bits(deep.decoder_w)
+
+        short = forward_trajectory(shallow, shallow_cfg, G, X)
+        long = forward_trajectory(deep, deep_cfg, G, X)
+        assert _bits(short.states) == _bits(long.states[:4])
+        assert _bits(short.multipliers) == _bits(long.multipliers[:3])
+
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_pruned_output_matches_skip_layer(self, variant):
+        rng = np.random.default_rng(31)
+        G, _ = random_graph(rng, 10)
+        X = rng.normal(size=(10, 3))
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=5, hidden_dim=8,
+                          heads=2, variant=variant,
+                          attention=AttentionKind("gat"), seed=2)
+        params = init_model(cfg)
+        intact = forward_trajectory(params, cfg, G, X)
+        for layer in range(1, 6):
+            skipped = forward_trajectory(params, cfg, G, X, skip_layer=layer)
+            assert _bits(pruned_output(params, cfg, G, intact, layer)) == _bits(
+                skipped.decoder_output)
+        for layer in (0, 6):
+            with pytest.raises(ValueError, match="skip_layer"):
+                pruned_output(params, cfg, G, intact, layer)
+
+    def test_nonfinite_error_carries_finite_prefix(self):
+        rng = np.random.default_rng(32)
+        G, _ = random_graph(rng, 6)
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=4, hidden_dim=8,
+                          attention=AttentionKind("san"), seed=1)
+        params = init_model(cfg)
+        X = rng.normal(size=(6, 3))
+        clean = forward_trajectory(params, cfg, G, X)
+        layers = list(params.layers)
+        layers[2] = dataclasses.replace(
+            layers[2], out_weight=layers[2].out_weight * np.inf)
+        broken = dataclasses.replace(params, layers=tuple(layers))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLayerError) as err:
+            forward_trajectory(broken, cfg, G, X)
+        assert err.value.layer == 3
+        prefix = err.value.trajectory
+        assert prefix.depth == 2 and prefix.decoder_output is None
+        assert _bits(prefix.states) == _bits(clean.states[:3])
+
+
+def _bits(value):
+    """Every array byte and None inside nested dataclasses and tuples."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.tobytes())
+    return value
 
 
 def _zero_branches(params):
