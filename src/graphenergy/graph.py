@@ -21,6 +21,14 @@ The 1/2 in the gradient product is what makes integration by parts exact:
 defined when every vertex satisfies ``sum_j w_ij < mu_i``; rows of ``P``
 are then convex combinations, so constants are fixed points.
 
+Every kernel works on edge differences through one cached signed
+incidence matrix ``B`` (E x n, one row per edge ``i < j``: -1 at ``i``,
++1 at ``j``) and the edge weights ``w``: ``ΔX = -M⁻¹ Bᵀ (w ⊙ BX)`` and
+``∇X·∇Y = ½ M⁻¹ |B|ᵀ (w ⊙ ⟨BX, BY⟩)`` with ``M = diag(mu)``. A difference
+of equal floats is exactly zero, so constants map to exact zeros; the
+algebraically equal ``AX - DX`` would leave roundoff residue on them.
+Peak memory of a kernel call is a few E x d arrays.
+
 Feature matrices are plain numpy arrays of shape ``(n,)`` or ``(n, d)``.
 Storage is sorted compressed neighbor lists (CSR triple plus the measure);
 dense operators appear only behind small-size guards as oracles.
@@ -37,10 +45,6 @@ from scipy.linalg import eigh
 from scipy.sparse import csgraph
 
 DEGREE_PLUS_ONE = "degree-plus-one"
-
-# Edge-gather temporaries are processed in row blocks of at most this many
-# matrix entries to bound peak memory on large graphs.
-_BLOCK_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +97,22 @@ class WeightedGraph:
     def reverse_edge_ids(self) -> np.ndarray:
         """Position of the reversed copy of each stored directed edge."""
         return np.lexsort((self.edge_sources, self.indices))
+
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """Signed incidence matrix ``B``: one row per edge ``i < j`` in
+        stored order, -1 in column ``i`` and +1 in column ``j``."""
+        upper = self.indices > self.edge_sources
+        ends = np.column_stack([self.edge_sources[upper], self.indices[upper]])
+        count = ends.shape[0]
+        signs = np.tile([-1.0, 1.0], count)
+        rows = np.arange(0, 2 * count + 1, 2)
+        return sparse.csr_matrix((signs, ends.ravel(), rows), shape=(count, self.n))
+
+    @cached_property
+    def edge_weights(self) -> np.ndarray:
+        """Weight of each row of :attr:`incidence`."""
+        return self.weights[self.indices > self.edge_sources]
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
@@ -186,11 +206,11 @@ def build_weighted_graph(
 def laplacian_apply(G: WeightedGraph, X) -> np.ndarray:
     """Apply the measure-weighted Laplacian row-wise.
 
-    Computed from neighbor differences, so constant inputs map to exact
+    Computed from edge differences, so constant inputs map to exact
     zeros. Output rows are mu-mean-free up to roundoff.
     """
     X2, squeeze = _as_features(G, X)
-    out = _neighbor_difference_sums(G, X2) / G.measure[:, None]
+    out = _laplacian(G, X2)
     return out[:, 0] if squeeze else out
 
 
@@ -206,7 +226,7 @@ def aggregate_apply(G: WeightedGraph, X) -> np.ndarray:
             "measure at every vertex"
         )
     X2, squeeze = _as_features(G, X)
-    out = X2 + _neighbor_difference_sums(G, X2) / G.measure[:, None]
+    out = X2 + _laplacian(G, X2)
     return out[:, 0] if squeeze else out
 
 
@@ -223,17 +243,13 @@ def grad_inner_product(G: WeightedGraph, X, Y) -> np.ndarray:
     ``(1/2) sum_j (w_ij/mu_i) <X(j)-X(i), Y(j)-Y(i)>``; always nonnegative
     when ``Y is X``.
     """
-    X2, _ = _as_features(G, X)
-    Y2, _ = _as_features(G, Y)
-    src, dst = G.edge_sources, G.indices
-    per_edge = np.empty(G.weights.size)
-    step = max(_BLOCK_ENTRIES // max(X2.shape[1], 1), 1)
-    for lo in range(0, per_edge.size, step):
-        hi = min(lo + step, per_edge.size)
-        dx = X2[dst[lo:hi]] - X2[src[lo:hi]]
-        dy = Y2[dst[lo:hi]] - Y2[src[lo:hi]]
-        per_edge[lo:hi] = G.weights[lo:hi] * np.einsum("ed,ed->e", dx, dy)
-    return 0.5 * _row_sums(G, per_edge) / G.measure
+    B = G.incidence
+    dx = B @ _as_features(G, X)[0]
+    dy = dx if Y is X else B @ _as_features(G, Y)[0]
+    per_edge = G.edge_weights * np.einsum("ed,ed->e", dx, dy)
+    # |B|^T: each edge's value lands on both of its endpoints
+    at_vertices = np.bincount(B.indices, np.repeat(per_edge, 2), minlength=G.n)
+    return 0.5 * at_vertices / G.measure
 
 
 def derivative_energy(G: WeightedGraph, X, m: int) -> float:
@@ -378,34 +394,12 @@ def _row_sums(G: WeightedGraph, per_edge: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_difference_sums(G: WeightedGraph, X2: np.ndarray) -> np.ndarray:
-    """Per-vertex ``sum_j w_ij (X(j) - X(i))``, block-wise over rows.
-
-    Formed from explicit neighbor differences so constants map to exact
-    zeros; a plain matvec would leave roundoff residue.
-    """
-    n, d = G.n, X2.shape[1]
-    out = np.zeros((n, d))
-    src, dst, w = G.edge_sources, G.indices, G.weights
-    counts = np.diff(G.indptr)
-    for rlo, rhi in _row_blocks(G, d):
-        elo, ehi = int(G.indptr[rlo]), int(G.indptr[rhi])
-        if elo == ehi:
-            continue
-        contrib = w[elo:ehi, None] * (X2[dst[elo:ehi]] - X2[src[elo:ehi]])
-        rows = np.arange(rlo, rhi)
-        use = rows[counts[rows] > 0]
-        out[use] = np.add.reduceat(contrib, G.indptr[use] - elo, axis=0)
+def _laplacian(G: WeightedGraph, X2: np.ndarray) -> np.ndarray:
+    """``-M^{-1} B^T (w ⊙ BX)`` on an ``(n, d)`` array."""
+    B = G.incidence
+    diffs = B @ X2
+    # the sign rides on the weights, so constants give +0.0 rather than -0.0
+    diffs *= -G.edge_weights[:, None]
+    out = B.T @ diffs
+    out /= G.measure[:, None]
     return out
-
-
-def _row_blocks(G: WeightedGraph, d: int):
-    """Vertex ranges whose incident edge gathers stay within the budget."""
-    per_block = max(_BLOCK_ENTRIES // max(d, 1), 1)
-    lo = 0
-    while lo < G.n:
-        target = G.indptr[lo] + per_block
-        hi = int(np.searchsorted(G.indptr, target, side="right")) - 1
-        hi = min(max(hi, lo + 1), G.n)
-        yield lo, hi
-        lo = hi

@@ -49,6 +49,26 @@ def grad_inner_oracle(n, edges, measure, X, Y) -> np.ndarray:
     return out
 
 
+def energy_oracle(n, edges, measure, X, m: int) -> float:
+    """Dense ``(1/n) ∫ |∇^m X|² dμ``: order 0 is the spread around the
+    mu-weighted mean, even m squares ``(-Δ)^{m/2} X``, odd m takes the
+    gradient product of ``(-Δ)^{(m-1)/2} X`` with itself."""
+    X = np.atleast_2d(np.asarray(X, dtype=float).T).T
+    mu = np.asarray(measure, dtype=float)
+    if m == 0:
+        mean = (mu @ X) / mu.sum()
+        return float(mu @ ((X - mean) ** 2).sum(axis=1)) / n
+    L = dense_laplacian_oracle(n, edges, mu)
+    Z = X
+    for _ in range(m // 2):
+        Z = -L @ Z
+    if m % 2 == 0:
+        per_node = (Z**2).sum(axis=1)
+    else:
+        per_node = grad_inner_oracle(n, edges, mu, Z, Z)
+    return float(mu @ per_node) / n
+
+
 def random_connected_edges(rng: np.random.Generator, n: int):
     """Random spanning tree plus extra random chords, unit-free weights."""
     edges = set()

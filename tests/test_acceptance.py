@@ -14,7 +14,7 @@ from graphenergy.cli import SweepSpec, run_sweep, surrogate_spec
 from graphenergy.diagnostics import (
     EnergySeries,
     fit_decay,
-    prune_layer_deviation,
+    prune_scan,
     relative_change_series,
 )
 from graphenergy.dynamics import (
@@ -383,11 +383,8 @@ def test_criterion_08_prune_deviation_ordering():
             config = ModelConfig(input_dim=32, output_dim=7, depth=256,
                                  hidden_dim=32, variant=variant,
                                  attention=AttentionKind(variant="san"), seed=seed)
-            params = init_model(config)
-            for layer in layers:
-                devs[layer].append(
-                    prune_layer_deviation(params, config, G, X, layer).deviation
-                )
+            for row in prune_scan(init_model(config), config, G, X, layers):
+                devs[row.layer].append(row.deviation)
         return {layer: float(np.median(v)) for layer, v in devs.items()}
 
     pre = median_devs("pre_ln", (2, 224))

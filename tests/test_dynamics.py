@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphenergy.dynamics as dyn
 from graphenergy.dynamics import (
     FlowInstabilityError,
     FlowSpec,
@@ -60,14 +59,17 @@ class TestLambdaMax:
     def test_matches_dense_on_small_graph(self, p3):
         assert estimate_lambda_max(p3) == pytest.approx(7.0 / 6.0, abs=1e-12)
 
-    def test_sparse_path_agrees_with_dense(self, monkeypatch):
+    def test_sparse_path_agrees_with_dense(self):
         G, _ = random_graph(np.random.default_rng(3), n=40)
         exact = dense_spectrum(G)[-1]
-        monkeypatch.setattr(dyn, "_DENSE_SPECTRUM_LIMIT", 10)
         assert estimate_lambda_max(G) == pytest.approx(exact, rel=1e-9)
 
+    def test_edgeless_graph_gives_zero(self):
+        for n in (1, 4):
+            assert estimate_lambda_max(build_weighted_graph([], n=n)) == 0.0
+
     def test_sparse_path_is_reproducible(self):
-        # above the dense limit: Lanczos from a fixed start vector
+        # Lanczos from a fixed start vector
         G, _ = random_graph(np.random.default_rng(4), n=2001)
         first = estimate_lambda_max(G)
         assert estimate_lambda_max(G) == first

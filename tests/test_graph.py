@@ -6,6 +6,8 @@ conftest before the sparse kernels existed.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +30,15 @@ from graphenergy.graph import (
 from conftest import (
     P3_EDGES,
     dense_laplacian_oracle,
+    energy_oracle,
     grad_inner_oracle,
     random_graph,
 )
 
 REL_TOL = 1e-12
+
+# Vertices 4 and 5 have no edges.
+ISOLATED_EDGES = [(0, 1, 0.5), (1, 2, 2.0), (0, 3, 1.5)]
 
 
 class TestConstruction:
@@ -212,6 +218,68 @@ class TestGradInner:
         G, _ = random_graph(rng, 15)
         X = rng.normal(size=(15, 5))
         assert grad_inner_product(G, X, X).min() >= 0.0
+
+
+def _assert_kernels_match_oracles(G, edges, X, Y):
+    n = G.n
+    L = dense_laplacian_oracle(n, edges, G.measure)
+    assert_allclose(laplacian_apply(G, X), L @ X, rtol=1e-12, atol=1e-12)
+    assert_allclose(aggregate_apply(G, X), X + L @ X, rtol=1e-12, atol=1e-12)
+    assert_allclose(
+        grad_inner_product(G, X, Y),
+        grad_inner_oracle(n, edges, G.measure, X, Y),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    for m in range(4):
+        assert_allclose(
+            derivative_energy(G, X, m),
+            energy_oracle(n, edges, G.measure, X, m),
+            rtol=1e-12,
+            atol=1e-14,
+        )
+
+
+class TestKernelEdgeCases:
+    @pytest.mark.parametrize(
+        "n, edges", [(6, ISOLATED_EDGES), (4, [])], ids=["isolated", "edgeless"]
+    )
+    def test_vertices_without_edges(self, n, edges):
+        rng = np.random.default_rng(41)
+        G = build_weighted_graph(edges, n=n)
+        X = rng.normal(size=(n, 3))
+        Y = rng.normal(size=(n, 3))
+        _assert_kernels_match_oracles(G, edges, X, Y)
+        lonely = G.degrees == 0
+        assert np.all(laplacian_apply(G, X)[lonely] == 0.0)
+        assert np.all(grad_inner_product(G, X, Y)[lonely] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_weighted_feature_widths(self, d):
+        rng = np.random.default_rng(43)
+        G, edges = random_graph(rng, 30, admissible=True)
+        X = rng.normal(size=(30, d))
+        Y = rng.normal(size=(30, d))
+        _assert_kernels_match_oracles(G, edges, X, Y)
+
+    def test_large_ring_memory_is_linear(self):
+        n, d = 100_000, 32
+        ids = np.arange(n)
+        ring = build_weighted_graph(np.column_stack([ids, (ids + 1) % n]), n=n)
+        X = np.random.default_rng(44).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            out = laplacian_apply(ring, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edges = ring.indices.size // 2
+        # the call holds the edge differences (edges x d) and the output
+        # (n x d); twice their size leaves room for building the incidence
+        # matrix on first use
+        assert peak < 2 * (edges + n) * d * 8
+        ring_laplacian = (np.roll(X, 1, axis=0) + np.roll(X, -1, axis=0) - 2 * X) / 3
+        assert_allclose(out, ring_laplacian, rtol=1e-12, atol=1e-12)
 
 
 def _ibp_defect(G, X, Y):
