@@ -9,11 +9,19 @@ Three score rules are supported:
   negative slope;
 * dot-product: ``<K X(i), Q X(j)> / sqrt(d_head)``.
 
-Symmetrized scores ``e`` induce a weighted graph with ``w_ij = exp(e_ij)``
+Every rule is symmetrized by averaging its two orientations, and each
+undirected edge is scored once: the additive rule averages its two
+rectified orientations, and the dot-product average is the symmetric
+bilinear form ``<X(i), X(j) S>`` with
+``S = (K Q^T + Q K^T) / (2 sqrt(d_head))``. The value is written to both
+stored directions.
+
+Symmetric scores ``e`` induce a weighted graph with ``w_ij = exp(e_ij)``
 and ``mu_i = exp(e_ii) + sum_l exp(e_il)``, whose aggregation operator is
 exactly the row-wise softmax over the closed neighborhood. That operator is
-returned as a sparse matrix ``P`` built from row-max-shifted scores, so it
-stays finite for any score magnitude.
+returned as a sparse matrix ``P`` on the graph's cached pattern of
+``A + I``, built from row-max-shifted scores, so it stays finite for any
+score magnitude.
 """
 
 from __future__ import annotations
@@ -81,16 +89,16 @@ def attention_scores(
     G: WeightedGraph,
     X: np.ndarray,
 ) -> EdgeScores:
-    """Evaluate the score rule on every directed edge and the diagonal."""
+    """Evaluate the symmetrized score rule once per undirected edge and on
+    the diagonal; both directions of an edge carry the same value."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != G.n:
         raise ValueError(f"feature matrix of shape {X.shape} does not match n={G.n}")
-    src, dst = G.edge_sources, G.indices
-
     if kind.variant == VARIANT_UNIFORM:
-        off = np.ones(src.size)
-        diag = np.ones(G.n)
-    elif kind.variant == VARIANT_ADDITIVE:
+        return EdgeScores(graph=G, values=np.ones(G.indices.size), diagonal=np.ones(G.n))
+
+    i, j = G.edge_ends
+    if kind.variant == VARIANT_ADDITIVE:
         if params.weight is None or params.attn_vector is None:
             raise ValueError("additive scores need 'weight' and 'attn_vector'")
         H = X @ params.weight
@@ -102,24 +110,32 @@ def attention_scores(
             )
         s_src = H @ a[:dh]
         s_dst = H @ a[dh:]
-        off = _leaky_relu(s_src[src] + s_dst[dst], kind.leaky_slope)
-        diag = _leaky_relu(s_src + s_dst, kind.leaky_slope)
+        slope = kind.leaky_slope
+        edge = 0.5 * (
+            _leaky_relu(s_src[i] + s_dst[j], slope)
+            + _leaky_relu(s_src[j] + s_dst[i], slope)
+        )
+        diag = _leaky_relu(s_src + s_dst, slope)
     else:
         if params.key is None or params.query is None:
             raise ValueError("dot-product scores need 'key' and 'query'")
-        K = X @ params.key
-        Q = X @ params.query
-        if K.shape != Q.shape:
+        key, query = np.asarray(params.key), np.asarray(params.query)
+        if key.shape != query.shape:
             raise ValueError("key and query maps must share the head dimension")
-        scale = 1.0 / np.sqrt(K.shape[1])
-        off = scale * np.einsum("ed,ed->e", K[src], Q[dst])
-        diag = scale * np.einsum("nd,nd->n", K, Q)
+        KQ = key @ query.T
+        XS = X @ ((KQ + KQ.T) * (0.5 / np.sqrt(key.shape[1])))
+        edge = np.einsum("ed,ed->e", X[i], XS[j])
+        diag = np.einsum("nd,nd->n", X, XS)
 
-    return EdgeScores(graph=G, values=off, diagonal=diag)
+    return EdgeScores(graph=G, values=edge[G.undirected_edge_ids], diagonal=diag)
 
 
 def symmetrize_scores(scores: EdgeScores) -> EdgeScores:
-    """Average each off-diagonal score with its reverse. Idempotent."""
+    """Average each off-diagonal score with its reverse. Idempotent.
+
+    :func:`attention_scores` already returns symmetric scores; this is for
+    hand-built ones.
+    """
     rev = scores.graph.reverse_edge_ids
     values = 0.5 * (scores.values + scores.values[rev])
     return EdgeScores(graph=scores.graph, values=values, diagonal=scores.diagonal)
@@ -129,28 +145,29 @@ def attention_weighted_graph(scores: EdgeScores) -> sparse.csr_matrix:
     """Turn symmetric scores into the softmax aggregation operator ``P``.
 
     Rejects asymmetric scores. Row-max shifted exponentials keep every
-    entry finite regardless of score magnitude; apply as ``P @ X``.
+    entry finite regardless of score magnitude. ``P`` is laid out on
+    ``scores.graph.closed_neighborhood`` and shares its read-only index
+    arrays; apply as ``P @ X``.
     """
     G = scores.graph
-    rev = G.reverse_edge_ids
-    scale = max(1.0, float(np.abs(scores.values).max()) if scores.values.size else 1.0)
-    if scores.values.size and np.abs(scores.values - scores.values[rev]).max() > 1e-12 * scale:
+    values, diagonal = scores.values, scores.diagonal
+    scale = max(1.0, float(np.abs(values).max()) if values.size else 1.0)
+    if values.size and np.abs(values - values[G.reverse_edge_ids]).max() > 1e-12 * scale:
         raise ValueError("scores must be symmetric; call symmetrize_scores first")
 
-    n, indptr, src = G.n, G.indptr, G.edge_sources
-    row_max = scores.diagonal.copy()
+    src = G.edge_sources
+    row_max = diagonal.copy()
     mask = G.degrees > 0
-    if scores.values.size:
-        row_peaks = np.maximum.reduceat(scores.values, indptr[:-1][mask])
+    if values.size:
+        row_peaks = np.maximum.reduceat(values, G.indptr[:-1][mask])
         row_max[mask] = np.maximum(row_max[mask], row_peaks)
-    exp_off = np.exp(scores.values - row_max[src])
-    exp_diag = np.exp(scores.diagonal - row_max)
+    exp_off = np.exp(values - row_max[src])
+    exp_diag = np.exp(diagonal - row_max)
     normalizers = exp_diag + _row_sums(G, exp_off)
 
-    p_off = exp_off / normalizers[src]
-    p_diag = exp_diag / normalizers
-    operator = sparse.csr_matrix((p_off, G.indices, indptr), shape=(n, n))
-    return operator + sparse.diags(p_diag, format="csr")
+    indptr, indices, order = G.closed_neighborhood
+    data = np.concatenate([exp_off / normalizers[src], exp_diag / normalizers])[order]
+    return sparse.csr_matrix((data, indices, indptr), shape=(G.n, G.n))
 
 
 def _leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:

@@ -91,18 +91,6 @@ class FlowTrajectory:
     norm_mass: np.ndarray | None
     lambda_max: float
 
-    def relative_rate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Discrete ``(dE/dt) / E`` of the Dirichlet series.
-
-        Returns midpoint times and rates; series must hold >= 2 records.
-        """
-        t, E = self.times, self.dirichlet
-        if t.size < 2:
-            raise ValueError("need at least two records for a rate")
-        dE = np.diff(E) / np.diff(t)
-        mid = 0.5 * (t[1:] + t[:-1])
-        return mid, dE / (0.5 * (E[1:] + E[:-1]))
-
 
 def estimate_lambda_max(G: WeightedGraph) -> float:
     """Largest eigenvalue of ``-Delta``, 0 on an edgeless graph.

@@ -30,8 +30,7 @@ algebraically equal ``AX - DX`` would leave roundoff residue on them.
 Peak memory of a kernel call is a few E x d arrays.
 
 Feature matrices are plain numpy arrays of shape ``(n,)`` or ``(n, d)``.
-Storage is sorted compressed neighbor lists (CSR triple plus the measure);
-dense operators appear only behind small-size guards as oracles.
+Storage is sorted compressed neighbor lists (CSR triple plus the measure).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse import csgraph
 
 DEGREE_PLUS_ONE = "degree-plus-one"
@@ -99,6 +97,41 @@ class WeightedGraph:
         return np.lexsort((self.edge_sources, self.indices))
 
     @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints ``(i, j)``, ``i < j``, of every undirected edge in the
+        stored order of its ``i -> j`` copy; edge k is row k of
+        :attr:`incidence`."""
+        upper = self.indices > self.edge_sources
+        return self.edge_sources[upper], self.indices[upper]
+
+    @cached_property
+    def undirected_edge_ids(self) -> np.ndarray:
+        """Edge id (index into :attr:`edge_ends`) of every stored directed
+        edge, so ``e[undirected_edge_ids]`` writes one value per undirected
+        edge to both of its directions."""
+        upper = self.indices > self.edge_sources
+        ids = np.cumsum(upper) - 1
+        return np.where(upper, ids, ids[self.reverse_edge_ids])
+
+    @cached_property
+    def closed_neighborhood(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted CSR pattern of ``A + I`` as read-only ``(indptr, indices,
+        order)``: ``np.concatenate([per_edge, per_vertex])[order]`` lays one
+        value per stored directed edge and one per vertex out on it."""
+        rows = np.concatenate([self.edge_sources, np.arange(self.n)])
+        cols = np.concatenate([self.indices, np.arange(self.n)])
+        order = np.lexsort((cols, rows))
+        # scipy picks its index dtype here once, so operators built on
+        # these arrays reuse them without a cast
+        pattern = sparse.csr_matrix(
+            (np.empty(order.size), cols[order], self.indptr + np.arange(self.n + 1)),
+            shape=(self.n, self.n),
+        )
+        for arr in (pattern.indptr, pattern.indices, order):
+            arr.setflags(write=False)
+        return pattern.indptr, pattern.indices, order
+
+    @cached_property
     def incidence(self) -> sparse.csr_matrix:
         """Signed incidence matrix ``B``: one row per edge ``i < j`` in
         stored order, -1 in column ``i`` and +1 in column ``j``."""
@@ -124,11 +157,6 @@ class WeightedGraph:
     @cached_property
     def component_count(self) -> int:
         return int(csgraph.connected_components(self.adjacency, directed=False)[0])
-
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted neighbor ids and matching weights of vertex ``i``."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
 
 
 def build_weighted_graph(
@@ -293,35 +321,6 @@ def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
         measure=measure,
         is_connected=G.is_connected,
     )
-
-
-def dense_laplacian(G: WeightedGraph, max_nodes: int = 2000) -> np.ndarray:
-    """Dense matrix of the Laplacian. Small-graph oracle; guarded."""
-    if G.n > max_nodes:
-        raise ValueError(
-            f"dense operator requested for n={G.n}, guard is {max_nodes}"
-        )
-    A = G.adjacency.toarray()
-    L = A - np.diag(G.weight_row_sums)
-    return L / G.measure[:, None]
-
-
-def dense_spectrum(G: WeightedGraph, max_nodes: int = 2000) -> np.ndarray:
-    """Eigenvalues of ``-Delta`` in ascending order.
-
-    Solved as the generalized symmetric problem ``(D - A) v = λ M v`` with
-    ``M = diag(mu)``, which is the self-adjoint form of ``-Delta`` in the
-    mu-weighted inner product; eigenvalues are real and nonnegative, and 0
-    appears once per connected component.
-    """
-    if G.n > max_nodes:
-        raise ValueError(
-            f"dense spectrum requested for n={G.n}, guard is {max_nodes}"
-        )
-    A = G.adjacency.toarray()
-    L = np.diag(G.weight_row_sums) - A
-    vals = eigh(L, np.diag(G.measure), eigvals_only=True)
-    return np.sort(vals)
 
 
 def _parse_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

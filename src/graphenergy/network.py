@@ -8,9 +8,9 @@ one of three ways (``Norm`` is per-row layer normalization):
 * ``nonlocal_post_ln``: post_ln with MP replaced by its gated form, where
   each head's output is scaled by ``s = ||P X - X||_F^2 / n``
 
-Message passing per head: score the edges on the current input, average
-with the transpose, softmax over the closed neighborhood, aggregate, then
-map through the head's value matrix; heads concatenate and pass through a
+Message passing per head: score the edges on the current input, once per
+undirected edge, softmax over the closed neighborhood, aggregate, then map
+through the head's value matrix; heads concatenate and pass through a
 shared output matrix. The gating scalar is the squared distance of one
 aggregation step per feature count, so it vanishes exactly when features
 are constant and shrinks as smoothing proceeds; computing it costs O(nd)
@@ -33,7 +33,6 @@ from graphenergy.attention import (
     VARIANT_DOT,
     attention_scores,
     attention_weighted_graph,
-    symmetrize_scores,
 )
 from graphenergy.graph import WeightedGraph
 
@@ -212,9 +211,12 @@ def layer_norm(X: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("layer_norm expects (n, d) input with d >= 2")
-    mean = X.mean(axis=1, keepdims=True)
-    var = X.var(axis=1, keepdims=True)
-    return (X - mean) / np.sqrt(var + LAYER_NORM_EPS) * gain + bias
+    out = X - X.mean(axis=1, keepdims=True)
+    var = np.square(out).sum(axis=1, keepdims=True) / X.shape[1]
+    out /= np.sqrt(var + LAYER_NORM_EPS)
+    out *= gain
+    out += bias
+    return out
 
 
 def feed_forward(X: np.ndarray, layer: LayerParams) -> np.ndarray:
@@ -225,8 +227,7 @@ def feed_forward(X: np.ndarray, layer: LayerParams) -> np.ndarray:
 
 def _head_operators(X, layer, G, kind):
     for head_params in layer.attention:
-        scores = symmetrize_scores(attention_scores(kind, head_params, G, X))
-        yield attention_weighted_graph(scores)
+        yield attention_weighted_graph(attention_scores(kind, head_params, G, X))
 
 
 def message_passing(

@@ -1,16 +1,17 @@
 """Shared fixtures and independent dense oracles for the test suite.
 
-The oracles here rebuild every operator from the raw edge list with dense
-matrices and never call into the package's sparse kernels, so agreement is
-meaningful.
+The oracles here rebuild every operator with dense matrices, from the raw
+edge list or from a built graph's CSR arrays, and never call into the
+package's sparse kernels, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from graphenergy.dynamics import _initial_state
+from graphenergy.dynamics import FlowTrajectory, _initial_state
 from graphenergy.graph import WeightedGraph, build_weighted_graph
 
 P3_EDGES = [(0, 1, 1.0), (1, 2, 1.0)]
@@ -35,6 +36,56 @@ def dense_laplacian_oracle(n: int, edges, measure) -> np.ndarray:
     A = dense_weight_matrix(n, edges)
     L = A - np.diag(A.sum(axis=1))
     return L / np.asarray(measure, dtype=float)[:, None]
+
+
+def dense_graph_weights(G: WeightedGraph, max_nodes: int = 2000) -> np.ndarray:
+    """Dense weight matrix read straight from a built graph's CSR arrays.
+    Small-graph oracle; guarded."""
+    if G.n > max_nodes:
+        raise ValueError(
+            f"dense operator requested for n={G.n}, guard is {max_nodes}"
+        )
+    A = np.zeros((G.n, G.n))
+    A[np.repeat(np.arange(G.n), np.diff(G.indptr)), G.indices] = G.weights
+    return A
+
+
+def dense_laplacian(G: WeightedGraph, max_nodes: int = 2000) -> np.ndarray:
+    """Dense Delta of a built graph. Small-graph oracle; guarded."""
+    A = dense_graph_weights(G, max_nodes)
+    return (A - np.diag(A.sum(axis=1))) / G.measure[:, None]
+
+
+def dense_spectrum(G: WeightedGraph, max_nodes: int = 2000) -> np.ndarray:
+    """Eigenvalues of ``-Delta`` in ascending order.
+
+    Solved as the generalized symmetric problem ``(D - A) v = λ M v`` with
+    ``M = diag(mu)``, which is the self-adjoint form of ``-Delta`` in the
+    mu-weighted inner product; eigenvalues are real and nonnegative, and 0
+    appears once per connected component.
+    """
+    A = dense_graph_weights(G, max_nodes)
+    vals = eigh(np.diag(A.sum(axis=1)) - A, np.diag(G.measure), eigvals_only=True)
+    return np.sort(vals)
+
+
+def neighbors(G: WeightedGraph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted neighbor ids and matching weights of vertex ``i``."""
+    lo, hi = G.indptr[i], G.indptr[i + 1]
+    return G.indices[lo:hi], G.weights[lo:hi]
+
+
+def relative_rate(traj: FlowTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete ``(dE/dt) / E`` of a flow's Dirichlet series.
+
+    Returns midpoint times and rates; the series must hold >= 2 records.
+    """
+    t, E = traj.times, traj.dirichlet
+    if t.size < 2:
+        raise ValueError("need at least two records for a rate")
+    dE = np.diff(E) / np.diff(t)
+    mid = 0.5 * (t[1:] + t[:-1])
+    return mid, dE / (0.5 * (E[1:] + E[:-1]))
 
 
 def grad_inner_oracle(n, edges, measure, X, Y) -> np.ndarray:

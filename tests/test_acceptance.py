@@ -25,7 +25,6 @@ from graphenergy.dynamics import (
 )
 from graphenergy.graph import (
     build_weighted_graph,
-    dense_spectrum,
     derivative_energy,
     grad_inner_product,
     integrate,
@@ -33,6 +32,8 @@ from graphenergy.graph import (
 )
 from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
 from graphenergy.network import ModelConfig, init_model
+
+from conftest import dense_spectrum, relative_rate
 
 DEPTHS = (2, 32, 64, 128, 256)
 VARIANTS = ("post_ln", "pre_ln", "nonlocal_post_ln")
@@ -299,7 +300,7 @@ def test_criterion_05_normalized_flow_growth():
         assert C <= 1.5 * secants[first_half].max()
         assert np.polyfit(t, root, 1)[0] > 0.0
 
-        mid, rate = traj.relative_rate()
+        mid, rate = relative_rate(traj)
         at_tenth = rate[np.argmin(np.abs(mid - 0.1 * t[-1]))]
         assert rate[-1] < at_tenth
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from graphenergy.attention import (
     AttentionKind,
@@ -98,6 +99,166 @@ class TestScores:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             AttentionKind("transformer")
+
+
+def _reverse_positions(G):
+    """Stored position of each directed edge's reverse, from a dict."""
+    src = np.repeat(np.arange(G.n), np.diff(G.indptr))
+    where = {(int(a), int(b)): p for p, (a, b) in enumerate(zip(src, G.indices))}
+    return np.array([where[(int(b), int(a))] for a, b in zip(src, G.indices)],
+                    dtype=np.intp)
+
+
+def averaged_directed_scores(kind, params, G, X):
+    """Each rule on every directed edge, averaged with its reverse."""
+    src = np.repeat(np.arange(G.n), np.diff(G.indptr))
+    dst = G.indices
+    if kind.variant == "gat":
+        H = X @ params.weight
+        dh = H.shape[1]
+        s_src, s_dst = H @ params.attn_vector[:dh], H @ params.attn_vector[dh:]
+
+        def rectify(z):
+            return np.where(z > 0, z, kind.leaky_slope * z)
+
+        off = rectify(s_src[src] + s_dst[dst])
+        diag = rectify(s_src + s_dst)
+    else:
+        K, Q = X @ params.key, X @ params.query
+        scale = 1.0 / np.sqrt(K.shape[1])
+        off = scale * (K[src] * Q[dst]).sum(axis=1)
+        diag = scale * (K * Q).sum(axis=1)
+    return 0.5 * (off + off[_reverse_positions(G)]), diag
+
+
+def closed_softmax_oracle(scores):
+    """Row-max-shifted softmax over each closed neighborhood, assembled as
+    ``csr + sparse.diags`` with per-row loops."""
+    G = scores.graph
+    e, diag = scores.values, scores.diagonal
+    p_off = np.empty_like(e)
+    p_diag = np.empty_like(diag)
+    for i in range(G.n):
+        lo, hi = G.indptr[i], G.indptr[i + 1]
+        peak = max(diag[i], e[lo:hi].max()) if hi > lo else diag[i]
+        exp_row = np.exp(e[lo:hi] - peak)
+        exp_self = np.exp(diag[i] - peak)
+        # reduceat, as the operator sums; ndarray.sum rounds differently
+        row_sum = np.add.reduceat(exp_row, [0])[0] if hi > lo else 0.0
+        total = exp_self + row_sum
+        p_off[lo:hi] = exp_row / total
+        p_diag[i] = exp_self / total
+    off = sparse.csr_matrix((p_off, G.indices, G.indptr), shape=(G.n, G.n))
+    return off + sparse.diags(p_diag, format="csr")
+
+
+# Vertex 5 has no edges.
+ISOLATED_EDGES = [(0, 1, 1.0), (1, 2, 0.5), (2, 4, 2.0), (0, 4, 1.0), (1, 4, 1.5),
+                  (3, 4, 1.0)]
+
+
+def _score_graphs():
+    rng = np.random.default_rng(21)
+    return [build_weighted_graph(ISOLATED_EDGES, n=6), random_graph(rng, 30)[0]]
+
+
+class TestOnePassScores:
+    @pytest.mark.parametrize("graph", range(2))
+    @pytest.mark.parametrize("dims", [(8, 8), (8, 4), (32, 16)])
+    def test_dot_product_matches_averaged_directed(self, graph, dims):
+        G = _score_graphs()[graph]
+        d, dh = dims
+        rng = np.random.default_rng(d + dh + graph)
+        params = AttentionParams(key=rng.normal(size=(d, dh)),
+                                 query=rng.normal(size=(d, dh)))
+        X = rng.normal(size=(G.n, d))
+        kind = AttentionKind("san")
+        scores = attention_scores(kind, params, G, X)
+        values, diag = averaged_directed_scores(kind, params, G, X)
+        assert_allclose(scores.values, values, rtol=0,
+                        atol=1e-14 * np.abs(values).max())
+        assert_allclose(scores.diagonal, diag, rtol=0,
+                        atol=1e-14 * np.abs(diag).max())
+        assert np.array_equal(scores.values, scores.values[_reverse_positions(G)])
+
+    @pytest.mark.parametrize("graph", range(2))
+    @pytest.mark.parametrize("slope", [0.2, 0.0, 1.7])
+    def test_additive_bitwise_equal_to_averaged_directed(self, graph, slope):
+        G = _score_graphs()[graph]
+        rng = np.random.default_rng(graph)
+        params = AttentionParams(weight=rng.normal(size=(6, 4)),
+                                 attn_vector=rng.normal(size=8))
+        X = rng.normal(size=(G.n, 6))
+        kind = AttentionKind("gat", leaky_slope=slope)
+        scores = attention_scores(kind, params, G, X)
+        values, diag = averaged_directed_scores(kind, params, G, X)
+        assert np.array_equal(scores.values, values)
+        assert np.array_equal(scores.diagonal, diag)
+
+    def test_key_query_shape_mismatch_rejected(self, p3):
+        params = AttentionParams(key=np.ones((2, 2)), query=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="head dimension"):
+            attention_scores(AttentionKind("san"), params, p3, np.ones((3, 2)))
+
+
+class TestClosedOperator:
+    @staticmethod
+    def _assert_matches_oracle(scores, X):
+        P = attention_weighted_graph(scores)
+        oracle = closed_softmax_oracle(scores)
+        assert np.array_equal(P.indptr, oracle.indptr)
+        assert np.array_equal(P.indices, oracle.indices)
+        assert np.array_equal(P.data, oracle.data)
+        assert np.array_equal(P @ X, oracle @ X)
+
+    @pytest.mark.parametrize("graph", range(2))
+    def test_bitwise_equal_to_csr_plus_diags(self, graph):
+        G = _score_graphs()[graph]
+        rng = np.random.default_rng(30 + graph)
+        scores = attention_scores(
+            AttentionKind("san"),
+            AttentionParams(key=rng.normal(size=(4, 4)), query=rng.normal(size=(4, 4))),
+            G, rng.normal(size=(G.n, 4)))
+        self._assert_matches_oracle(scores, rng.normal(size=(G.n, 5)))
+
+    def test_huge_scores(self):
+        G = _score_graphs()[1]
+        rng = np.random.default_rng(32)
+        signs = rng.choice([-80.0, 80.0], size=G.indices.size)
+        values = np.maximum(signs, signs[_reverse_positions(G)])
+        scores = EdgeScores(graph=G, values=values,
+                            diagonal=rng.choice([-80.0, 80.0], size=G.n))
+        self._assert_matches_oracle(scores, rng.normal(size=(G.n, 3)))
+
+    def test_empty_row(self):
+        G = _score_graphs()[0]
+        rng = np.random.default_rng(33)
+        base = attention_scores(AttentionKind("gcn"), AttentionParams(), G,
+                                np.zeros((G.n, 1)))
+        scores = EdgeScores(graph=G, values=3.0 * base.values,
+                            diagonal=rng.normal(size=G.n))
+        self._assert_matches_oracle(scores, rng.normal(size=(G.n, 3)))
+        assert attention_weighted_graph(scores)[5].toarray().tolist() == [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
+
+    def test_edgeless_graph(self):
+        G = build_weighted_graph([], n=4)
+        rng = np.random.default_rng(34)
+        scores = attention_scores(
+            AttentionKind("san"),
+            AttentionParams(key=rng.normal(size=(3, 3)), query=rng.normal(size=(3, 3))),
+            G, rng.normal(size=(4, 3)))
+        X = rng.normal(size=(4, 2))
+        self._assert_matches_oracle(scores, X)
+        assert np.array_equal(attention_weighted_graph(scores) @ X, X)
+
+    def test_pattern_is_shared_and_read_only(self, p3):
+        scores = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
+                                  np.zeros((3, 1)))
+        first, second = attention_weighted_graph(scores), attention_weighted_graph(scores)
+        assert np.shares_memory(first.indices, second.indices)
+        assert not first.indices.flags.writeable
+        assert not np.shares_memory(first.data, second.data)
 
 
 class TestSymmetrize:

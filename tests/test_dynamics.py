@@ -16,13 +16,17 @@ from graphenergy.dynamics import (
 from graphenergy.graph import (
     aggregate_apply,
     build_weighted_graph,
-    dense_laplacian,
-    dense_spectrum,
     integrate,
     laplacian_apply,
 )
 
-from conftest import random_graph, rk4_reference
+from conftest import (
+    dense_laplacian,
+    dense_spectrum,
+    random_graph,
+    relative_rate,
+    rk4_reference,
+)
 
 
 def heat_expm_oracle(G, X0, t):
@@ -166,7 +170,7 @@ class TestHeat:
     def test_relative_rate_midpoints(self, p3):
         X0 = np.array([1.0, 0.0, -1.0])
         traj = simulate_heat(p3, X0, FlowSpec(kind="heat", horizon=1.0))
-        mid, rate = traj.relative_rate()
+        mid, rate = relative_rate(traj)
         assert mid.shape == rate.shape == (traj.times.size - 1,)
         assert (rate < 0).all()
 
@@ -182,7 +186,7 @@ class TestHeat:
             lambda_max=0.0,
         )
         with pytest.raises(ValueError, match="two records"):
-            traj.relative_rate()
+            relative_rate(traj)
 
     def test_bad_initial_state(self, p3):
         spec = FlowSpec(kind="heat", horizon=1.0)

@@ -19,6 +19,8 @@ from graphenergy.ingest import (
     write_matrix,
 )
 
+from conftest import neighbors
+
 
 class TestSyntheticSpec:
     def test_unknown_kind(self):
@@ -67,7 +69,7 @@ class TestGenerate:
         G = generate_graph(SyntheticSpec(kind="path", size=3))
         assert G.n == 3
         np.testing.assert_array_equal(G.measure, [2.0, 3.0, 2.0])
-        np.testing.assert_array_equal(G.neighbors(1)[0], [0, 2])
+        np.testing.assert_array_equal(neighbors(G, 1)[0], [0, 2])
 
     def test_singleton_path(self):
         G = generate_graph(SyntheticSpec(kind="path", size=1))
@@ -119,7 +121,7 @@ class TestGenerate:
         blocks = np.repeat([0, 1], 12)
         intra = inter = 0
         for i in range(G.n):
-            for j in G.neighbors(i)[0]:
+            for j in neighbors(G, i)[0]:
                 if j > i:
                     if blocks[i] == blocks[j]:
                         intra += 1
@@ -327,7 +329,7 @@ class TestRoundTrips:
         H = load_edge_list(f)
         assert H.n == G.n
         for i in range(G.n):
-            np.testing.assert_array_equal(G.neighbors(i)[0], H.neighbors(i)[0])
+            np.testing.assert_array_equal(neighbors(G, i)[0], neighbors(H, i)[0])
 
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from graphenergy.attention import SCORE_VARIANTS, AttentionKind, AttentionParams
 from graphenergy.graph import build_weighted_graph
 from graphenergy.network import (
+    LAYER_NORM_EPS,
     MODEL_VARIANTS,
     LayerParams,
     ModelConfig,
@@ -119,6 +120,19 @@ class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         out = layer_norm(np.full((2, 3), 9.0), np.ones(3), np.full(3, 0.25))
         assert_allclose(out, 0.25, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_bitwise_equal_to_formula(self, d):
+        rng = np.random.default_rng(d)
+        X = 3.0 * rng.normal(size=(40, d)) + rng.normal(size=(40, 1))
+        X[3], X[17] = -1.25, 4.0  # constant rows
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        before = X.copy()
+        mean = X.mean(axis=1, keepdims=True)
+        var = X.var(axis=1, keepdims=True)
+        expected = (X - mean) / np.sqrt(var + LAYER_NORM_EPS) * gain + bias
+        assert np.array_equal(layer_norm(X, gain, bias), expected)
+        assert np.array_equal(X, before)
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError, match="d >= 2"):
