@@ -16,6 +16,11 @@ update is ``X += dt * Delta X`` while real time advances by ``dt / m``.
 That keeps the stability constraint (effective step times spectral radius)
 satisfied uniformly and reaches long horizons in logarithmically many
 steps. The other flows treat ``dt`` as the plain step size.
+
+Each state's ``Delta X`` is formed once: it drives the heat and gated
+Euler steps, and a recorded state's gate ``∫ |Delta X|^2 dmu`` and order-2
+energy ``gate / n`` reuse it; only the order-1 energy takes its own edge
+pass. The normalized flow forms ``Delta X`` once per record.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import scipy.sparse.linalg
 
 from graphenergy.graph import (
     WeightedGraph,
+    _as_features,
     aggregate_apply,
     derivative_energy,
     integrate,
@@ -38,6 +44,7 @@ FLOW_HEAT = "heat"
 FLOW_GATED = "nonlocal"
 FLOW_NORMALIZED = "preln"
 FLOW_KINDS = (FLOW_HEAT, FLOW_GATED, FLOW_NORMALIZED)
+SAFETY = 0.9  # steps may not exceed SAFETY / lambda_max
 
 
 class FlowInstabilityError(RuntimeError):
@@ -48,7 +55,7 @@ class FlowInstabilityError(RuntimeError):
 class FlowSpec:
     """Flow selector and integration controls.
 
-    ``dt=None`` picks ``0.5 * safety / lambda_max``. Every recorded state
+    ``dt=None`` picks ``0.5 * SAFETY / lambda_max``. Every recorded state
     keeps its time stamp; recording happens every ``record_stride`` steps
     plus the initial and final states.
     """
@@ -57,7 +64,6 @@ class FlowSpec:
     horizon: float
     dt: float | None = None
     record_stride: int = 1
-    safety: float = 0.9
 
     def __post_init__(self) -> None:
         if self.kind not in FLOW_KINDS:
@@ -68,8 +74,6 @@ class FlowSpec:
             raise ValueError("dt must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,25 +118,25 @@ def estimate_lambda_max(G: WeightedGraph) -> float:
 def simulate_heat(G: WeightedGraph, X0: np.ndarray, spec: FlowSpec) -> FlowTrajectory:
     """Explicit Euler for the diffusion flow.
 
-    Requires ``dt <= safety / lambda_max``. The recorded Dirichlet series
+    Requires ``dt <= SAFETY / lambda_max``. The recorded Dirichlet series
     is checked to be non-increasing; an increase beyond roundoff raises
     :class:`FlowInstabilityError` advising a smaller step.
     """
     if spec.kind != FLOW_HEAT:
         raise ValueError(f"spec.kind is {spec.kind!r}, expected {FLOW_HEAT!r}")
-    X = _initial_state(G, X0)
+    X, _ = _as_features(G, X0)
     lam_max, dt = _resolve_step(G, spec)
 
     steps = int(np.ceil(spec.horizon / dt))
-    times, states = [0.0], [X.copy()]
-    t = 0.0
+    LX = laplacian_apply(G, X)
+    records, t = [(0.0, X.copy(), _gate(G, LX))], 0.0
     for k in range(1, steps + 1):
-        X = X + dt * laplacian_apply(G, X)
+        X = X + dt * LX
+        LX = laplacian_apply(G, X)
         t += dt
         if k % spec.record_stride == 0 or k == steps:
-            times.append(t)
-            states.append(X.copy())
-    traj = _finish(FLOW_HEAT, G, times, states, None, lam_max)
+            records.append((t, X.copy(), _gate(G, LX)))
+    traj = _finish(FLOW_HEAT, G, records, lam_max)
     _check_monotone_decay(traj)
     return traj
 
@@ -149,27 +153,24 @@ def simulate_nonlocal(
     """
     if spec.kind != FLOW_GATED:
         raise ValueError(f"spec.kind is {spec.kind!r}, expected {FLOW_GATED!r}")
-    X = _initial_state(G, X0)
+    X, _ = _as_features(G, X0)
     lam_max, dt_eff = _resolve_step(G, spec)
 
-    times, states = [0.0], [X.copy()]
-    t = 0.0
-    k = 0
+    LX = laplacian_apply(G, X)
+    gate = _gate(G, LX)
+    records, t, k = [(0.0, X.copy(), gate)], 0.0, 0
     while t < spec.horizon:
-        LX = laplacian_apply(G, X)
-        gate = float(integrate(G, (LX**2).sum(axis=1)))
-        if gate <= 1e-280:
+        if gate <= 1e-280:  # stationary: record it again at the horizon
             t = spec.horizon
-            times.append(t)
-            states.append(X.copy())
-            break
-        X = X + dt_eff * LX
-        t += dt_eff / gate
-        k += 1
+        else:
+            X = X + dt_eff * LX
+            t += dt_eff / gate
+            k += 1
+            LX = laplacian_apply(G, X)
+            gate = _gate(G, LX)
         if k % spec.record_stride == 0 or t >= spec.horizon:
-            times.append(t)
-            states.append(X.copy())
-    traj = _finish(FLOW_GATED, G, times, states, None, lam_max)
+            records.append((t, X.copy(), gate))
+    traj = _finish(FLOW_GATED, G, records, lam_max)
     _check_monotone_decay(traj)
     return traj
 
@@ -192,7 +193,7 @@ def simulate_preln_flow(
             "normalized aggregation flow needs sum of incident weights < "
             "vertex measure at every vertex"
         )
-    X = _initial_state(G, X0)
+    X, _ = _as_features(G, X0)
     if X.shape[1] < 1:
         raise ValueError("need at least one feature column")
     lam_max, dt = _resolve_step(G, spec)
@@ -203,16 +204,16 @@ def simulate_preln_flow(
 
     radius = np.sqrt(G.n / float(G.measure.sum()))
     steps = int(np.ceil(spec.horizon / dt))
-    times, states, masses = [0.0], [X.copy()], [_norm_mass(G, X, radius)]
+    records = [(0.0, X.copy(), _gate(G, laplacian_apply(G, X)))]
+    masses = [_norm_mass(G, X, radius)]
     t = 0.0
     for k in range(1, steps + 1):
         X = X + dt * aggregate_apply(G, _sphere_project(X, radius))
         t += dt
         if k % spec.record_stride == 0 or k == steps:
-            times.append(t)
-            states.append(X.copy())
+            records.append((t, X.copy(), _gate(G, laplacian_apply(G, X))))
             masses.append(_norm_mass(G, X, radius))
-    return _finish(FLOW_NORMALIZED, G, times, states, np.asarray(masses), lam_max)
+    return _finish(FLOW_NORMALIZED, G, records, lam_max, np.asarray(masses))
 
 
 def _sphere_project(X: np.ndarray, radius: float) -> np.ndarray:
@@ -229,15 +230,13 @@ def _norm_mass(G: WeightedGraph, X: np.ndarray, radius: float) -> float:
     return float(integrate(G, (projected**2).sum(axis=1)))
 
 
-def _initial_state(G: WeightedGraph, X0) -> np.ndarray:
-    X = np.asarray(X0, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] != G.n:
-        raise ValueError(f"initial state of shape {np.shape(X0)} does not match n={G.n}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("initial state contains non-finite entries")
-    return X
+def _gate(G: WeightedGraph, LX: np.ndarray) -> float:
+    """``∫ |Delta X|^2 dmu`` from ``LX = Delta X``. A non-finite value is
+    refused, since the gated clock ``t += dt / gate`` would stall on it."""
+    gate = float(G.measure @ (LX**2).sum(axis=1))
+    if not np.isfinite(gate):
+        raise ValueError("∫ |Delta X|^2 dmu is not finite: the state overflowed")
+    return gate
 
 
 def _resolve_step(G: WeightedGraph, spec: FlowSpec) -> tuple[float, float]:
@@ -245,25 +244,25 @@ def _resolve_step(G: WeightedGraph, spec: FlowSpec) -> tuple[float, float]:
     if lam_max <= 0.0:
         # edgeless graph: any step works, nothing moves
         return 0.0, spec.dt if spec.dt is not None else spec.horizon
-    limit = spec.safety / lam_max
+    limit = SAFETY / lam_max
     dt = spec.dt if spec.dt is not None else 0.5 * limit
     if dt > limit * (1 + 1e-12):
         raise FlowInstabilityError(
-            f"step {dt:g} exceeds the stability limit safety/lambda_max = {limit:g}"
+            f"step {dt:g} exceeds the stability limit SAFETY/lambda_max = {limit:g}"
         )
     return lam_max, dt
 
 
-def _finish(kind, G, times, states, masses, lam_max) -> FlowTrajectory:
-    dirichlet = np.array([derivative_energy(G, X, 1) for X in states])
-    laplacian = np.array([derivative_energy(G, X, 2) for X in states])
-    gate = laplacian * G.n  # ∫|ΔX|² dμ = n * order-2 energy
+def _finish(kind, G, records, lam_max, masses=None) -> FlowTrajectory:
+    """Trajectory from ``(time, state, gate)`` records."""
+    times, states, gates = zip(*records)
+    gate = np.array(gates)
     return FlowTrajectory(
         kind=kind,
-        times=np.asarray(times),
-        states=tuple(states),
-        dirichlet=dirichlet,
-        laplacian=laplacian,
+        times=np.array(times),
+        states=states,
+        dirichlet=np.array([derivative_energy(G, X, 1) for X in states]),
+        laplacian=gate / G.n,  # order-2 energy = ∫|ΔX|² dμ / n
         gate=gate,
         norm_mass=masses,
         lambda_max=lam_max,

@@ -59,7 +59,6 @@ class WeightedGraph:
     indices: np.ndarray
     weights: np.ndarray
     measure: np.ndarray
-    is_connected: bool
 
     def __post_init__(self) -> None:
         for arr in (self.indptr, self.indices, self.weights, self.measure):
@@ -158,6 +157,10 @@ class WeightedGraph:
     def component_count(self) -> int:
         return int(csgraph.connected_components(self.adjacency, directed=False)[0])
 
+    @cached_property
+    def is_connected(self) -> bool:
+        return self.component_count == 1
+
 
 def build_weighted_graph(
     edges,
@@ -218,16 +221,8 @@ def build_weighted_graph(
         if not np.all(np.isfinite(mu)) or mu.min() <= 0:
             raise ValueError("vertex measure must be finite and strictly positive")
 
-    adj = sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
-    ncomp = int(csgraph.connected_components(adj, directed=False)[0])
-
     return WeightedGraph(
-        n=n,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-        measure=mu,
-        is_connected=ncomp == 1,
+        n=n, indptr=indptr, indices=indices, weights=weights, measure=mu
     )
 
 
@@ -283,26 +278,30 @@ def grad_inner_product(G: WeightedGraph, X, Y) -> np.ndarray:
 def derivative_energy(G: WeightedGraph, X, m: int) -> float:
     """Normalized m-th derivative energy ``(1/n) ∫ |∇^m X|² dμ``.
 
-    Even m contracts to ``|Δ^{m/2} X|²`` rows, odd m to the gradient
-    product of ``Δ^{(m-1)/2} X`` with itself. Order 0 measures the spread
-    around the mu-weighted mean. Zero exactly on constants (per component
-    for m >= 1).
+    With ``Z = (-Δ)^{⌊m/2⌋} X``, even m sums ``μ_i |Z(i)|²`` over vertices
+    and odd m sums ``w_e |(BZ)_e|²`` over edges, which is ``∫ ∇Z·∇Z dμ``.
+    Order 0 measures the spread around the mu-weighted mean. Zero exactly
+    on constants (per component for m >= 1). An energy that overflows
+    raises ``ValueError`` rather than returning ``inf``.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"derivative order must be a nonnegative integer, got {m!r}")
-    X2, _ = _as_features(G, X)
+    Z, _ = _as_features(G, X)
     if m == 0:
-        mean = (G.measure @ X2) / G.measure.sum()
-        per_node = ((X2 - mean) ** 2).sum(axis=1)
-        return max(float(G.measure @ per_node) / G.n, 0.0)
-    Z = X2
-    for _ in range(m // 2):
-        Z = -laplacian_apply(G, Z)
-    if m % 2 == 0:
-        per_node = (Z**2).sum(axis=1)
+        mean = (G.measure @ Z) / G.measure.sum()
+        total = float(G.measure @ ((Z - mean) ** 2).sum(axis=1))
     else:
-        per_node = grad_inner_product(G, Z, Z)
-    return max(float(G.measure @ per_node) / G.n, 0.0)
+        for _ in range(m // 2):
+            Z = -laplacian_apply(G, Z)
+        if m % 2 == 0:
+            total = float(G.measure @ (Z**2).sum(axis=1))
+        else:
+            BZ = G.incidence @ Z
+            total = float(G.edge_weights @ (BZ**2).sum(axis=1))
+    energy = total / G.n
+    if not np.isfinite(energy):
+        raise ValueError(f"order-{m} derivative energy is not finite")
+    return energy
 
 
 def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
@@ -319,7 +318,6 @@ def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
         indices=G.indices.copy(),
         weights=weights,
         measure=measure,
-        is_connected=G.is_connected,
     )
 
 

@@ -42,6 +42,7 @@ VARIANT_NONLOCAL = "nonlocal_post_ln"
 MODEL_VARIANTS = (VARIANT_POST_LN, VARIANT_PRE_LN, VARIANT_NONLOCAL)
 
 LAYER_NORM_EPS = 1e-5
+FFN_EXPANSION = 2  # FFN hidden width as a multiple of hidden_dim
 
 
 class NonFiniteLayerError(RuntimeError):
@@ -69,7 +70,6 @@ class ModelConfig:
     heads: int = 1
     variant: str = VARIANT_POST_LN
     attention: AttentionKind = field(default_factory=AttentionKind)
-    ffn_expansion: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -83,8 +83,6 @@ class ModelConfig:
             raise ValueError("hidden_dim must be at least 2 for row normalization")
         if self.heads < 1 or self.hidden_dim % self.heads != 0:
             raise ValueError("heads must divide hidden_dim")
-        if self.ffn_expansion < 1:
-            raise ValueError("ffn_expansion must be at least 1")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
 
@@ -156,7 +154,7 @@ def init_model(config: ModelConfig) -> ModelParams:
     this to take shallow depths as prefixes of the deepest run.
     """
     rng = np.random.default_rng(config.seed)
-    d, dh, e = config.hidden_dim, config.head_dim, config.ffn_expansion
+    d, dh, e = config.hidden_dim, config.head_dim, FFN_EXPANSION
 
     enc_w1 = glorot_uniform(rng, config.input_dim, d, (config.input_dim, d))
     enc_w2 = glorot_uniform(rng, d, d, (d, d))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from graphenergy.dynamics import FlowTrajectory, _initial_state
+from graphenergy.dynamics import FlowTrajectory
 from graphenergy.graph import WeightedGraph, build_weighted_graph
 
 P3_EDGES = [(0, 1, 1.0), (1, 2, 1.0)]
@@ -161,7 +161,7 @@ def rk4_reference(G, X0, rhs, dt: float, horizon: float):
     ``rhs`` maps a state to its derivative; returns (times, states) at
     every step.
     """
-    X = _initial_state(G, X0)
+    X = np.atleast_2d(np.asarray(X0, dtype=float).T).T
     steps = int(np.ceil(horizon / dt))
     times, states = [0.0], [X.copy()]
     t = 0.0

@@ -16,6 +16,7 @@ from graphenergy.dynamics import (
 from graphenergy.graph import (
     aggregate_apply,
     build_weighted_graph,
+    derivative_energy,
     integrate,
     laplacian_apply,
 )
@@ -23,6 +24,7 @@ from graphenergy.graph import (
 from conftest import (
     dense_laplacian,
     dense_spectrum,
+    energy_oracle,
     random_graph,
     relative_rate,
     rk4_reference,
@@ -46,8 +48,6 @@ class TestFlowSpec:
             FlowSpec(kind="heat", horizon=1.0, dt=-0.1)
         with pytest.raises(ValueError, match="record_stride"):
             FlowSpec(kind="heat", horizon=1.0, record_stride=0)
-        with pytest.raises(ValueError, match="safety"):
-            FlowSpec(kind="heat", horizon=1.0, safety=1.5)
 
     def test_kind_mismatch_rejected(self, p3):
         X0 = np.array([1.0, 0.0, -1.0])
@@ -306,3 +306,66 @@ class TestPrelnFlow:
         X0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(FlowInstabilityError, match="sphere projection"):
             simulate_preln_flow(p3, X0, FlowSpec(kind="preln", horizon=1.0))
+
+
+class TestRecordedSeries:
+    """Each record's energies against the dense oracle, on horizons whose
+    last step falls between two strides."""
+
+    @staticmethod
+    def _check_against_oracle(G, edges, traj):
+        for X, dirichlet, laplacian in zip(traj.states, traj.dirichlet, traj.laplacian):
+            assert dirichlet == pytest.approx(
+                energy_oracle(G.n, edges, G.measure, X, 1), rel=1e-10, abs=1e-14
+            )
+            assert laplacian == pytest.approx(
+                energy_oracle(G.n, edges, G.measure, X, 2), rel=1e-10, abs=1e-14
+            )
+        np.testing.assert_allclose(traj.gate, G.n * traj.laplacian, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, horizon, dt",
+        [("heat", 1.0, 0.1), ("nonlocal", 40.0, 0.1), ("preln", 2.0, 0.15)],
+    )
+    def test_series_match_oracle_at_every_stride(self, kind, horizon, dt):
+        G, edges = random_graph(np.random.default_rng(21), n=7, admissible=True)
+        X0 = np.random.default_rng(22).normal(size=(7, 3))
+        simulate = {
+            "heat": simulate_heat,
+            "nonlocal": simulate_nonlocal,
+            "preln": simulate_preln_flow,
+        }[kind]
+        every = simulate(G, X0, FlowSpec(kind=kind, horizon=horizon, dt=dt))
+        strided = simulate(
+            G, X0, FlowSpec(kind=kind, horizon=horizon, dt=dt, record_stride=3)
+        )
+        steps = every.times.size - 1
+        assert steps % 3 != 0  # the final record falls mid-stride
+        kept = list(range(0, steps, 3)) + [steps]
+        np.testing.assert_array_equal(strided.times, every.times[kept])
+        for traj in (every, strided):
+            self._check_against_oracle(G, edges, traj)
+
+    def test_gated_constant_state_jump(self):
+        G, edges = random_graph(np.random.default_rng(23), n=7)
+        traj = simulate_nonlocal(
+            G, np.full((7, 2), -1.5), FlowSpec(kind="nonlocal", horizon=3.0)
+        )
+        assert traj.times.tolist() == [0.0, 3.0]
+        self._check_against_oracle(G, edges, traj)
+        assert traj.gate.tolist() == [0.0, 0.0]
+
+
+@np.errstate(over="ignore")
+def test_overflowing_state_fails_loudly(p3):
+    huge = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, -1e300]])
+    for m in range(4):
+        with pytest.raises(ValueError, match=f"order-{m}"):
+            derivative_energy(p3, huge, m)
+    for kind, simulate in (
+        ("heat", simulate_heat),
+        ("nonlocal", simulate_nonlocal),
+        ("preln", simulate_preln_flow),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(p3, huge, FlowSpec(kind=kind, horizon=1.0))

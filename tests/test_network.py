@@ -64,10 +64,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="depth"):
             ModelConfig(input_dim=3, output_dim=2, depth=-1)
 
-    def test_expansion_bounds(self):
-        with pytest.raises(ValueError, match="expansion"):
-            ModelConfig(input_dim=3, output_dim=2, depth=1, ffn_expansion=0)
-
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             ModelConfig(input_dim=3, output_dim=2, depth=1, variant="sandwich_ln")
