@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -48,7 +49,11 @@ from graphenergy.dynamics import (
     simulate_nonlocal,
     simulate_preln_flow,
 )
-from graphenergy.graph import WeightedGraph
+from graphenergy.graph import (
+    WeightedGraph,
+    canonical_energy_graph,
+    derivative_energy,
+)
 from graphenergy.ingest import (
     GENERATOR_KINDS,
     SyntheticSpec,
@@ -171,8 +176,9 @@ def run_sweep(
     Parameters are drawn layer by layer from one seeded stream, so a
     depth-d stack is the first d layers of a deeper one with the same
     seed: each (variant, seed) runs and measures once at the deepest
-    depth, and every depth takes its prefix. One progress line per
-    (variant, seed) goes to stderr.
+    depth, and every depth takes its prefix. Energies are measured as the
+    states are produced, and only the states the cosine matrices read are
+    kept. One progress line per (variant, seed) goes to stderr.
     """
     X = random_features(
         G.n, spec.input_dim, seed=spec.feature_seed, scale=spec.feature_scale
@@ -189,7 +195,7 @@ def run_sweep(
             finished = pool.map(_run_trajectory, packed)
         else:
             finished = map(_run_trajectory, packed)
-        for i, ((variant, seed), (jobs, seconds)) in enumerate(
+        for i, ((variant, seed), (jobs, seconds, kept, produced)) in enumerate(
             zip(units, finished), start=1
         ):
             failed = [str(j.depth) for j in jobs if not j.ok]
@@ -197,7 +203,7 @@ def run_sweep(
             print(
                 f"sweep [{i}/{len(units)}] {variant} seed {seed} depths "
                 f"{','.join(str(d) for d in spec.depths)}: {outcome}, "
-                f"{seconds:.1f} s",
+                f"{seconds:.1f} s, kept {kept} of {produced} states",
                 file=sys.stderr,
             )
             cells.update(((variant, j.depth, seed), j) for j in jobs)
@@ -214,13 +220,19 @@ def run_sweep(
     return result
 
 
-def _run_trajectory(packed) -> tuple[list[SweepJob], float]:
+def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
     """Run one (variant, seed) at the deepest depth and build every
-    depth's job from its prefix; returns the jobs and the wall seconds.
+    depth's job from its prefix; returns the jobs, the wall seconds, and
+    how many of the produced states were kept.
 
-    A non-finite layer k fails only the depths that reach it; the finite
-    prefix still serves every shallower depth. Any other failure fails
-    every depth.
+    Each state's energy is measured, and with ``dump_states`` its file
+    written into every depth that reaches it, as the forward pass produces
+    it. Only the union of the depths' cosine subsamples is kept.
+
+    A non-finite layer k fails only the depths that reach it; the energies
+    measured before it still serve every shallower depth, and a failed
+    depth's directory holds only its ``report.json``. Any other failure
+    fails every depth.
     """
     G, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
@@ -234,15 +246,36 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float]:
         attention=spec.attention,
         seed=seed,
     )
+    keep = {
+        k for depth in spec.depths for k in _subsample(depth + 1, COSINE_LAYER_CAP)
+    } if spec.write_cosine else set()
+    dumps = {
+        depth: os.path.join(_job_dir(out_dir, variant, depth, seed), "states")
+        for depth in spec.depths
+    } if out_dir is not None and spec.dump_states else {}
+    canonical = canonical_energy_graph(G)
+    energies = []
+
+    def measure(k, state):
+        energies.append(derivative_energy(canonical, state, spec.energy_order))
+        for depth, states_dir in dumps.items():
+            if k == 0:
+                ensure_directory(states_dir)
+            if k <= depth:
+                write_matrix(
+                    os.path.join(states_dir, f"layer-{k:03d}.csv"),
+                    state,
+                    provenance=f"config-hash={config_hash} seed={seed} layer={k}",
+                )
+
     states, failure = (), None
     try:
         try:
-            trajectory = forward_trajectory(init_model(cfg), cfg, G, X)
+            states = forward_trajectory(
+                init_model(cfg), cfg, G, X, keep=keep, observe=measure
+            ).states
         except NonFiniteLayerError as exc:
-            trajectory, failure = exc.trajectory, exc
-        if min(spec.depths) < len(trajectory.states):
-            series = energy_series(trajectory, spec.energy_order, topology=G)
-            states = trajectory.states
+            states, failure = exc.trajectory.states, exc
     except Exception as exc:  # capture per trajectory, keep the sweep alive
         states, failure = (), exc
 
@@ -252,10 +285,10 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float]:
             if depth >= len(states):
                 raise failure  # this depth reaches the failed layer
             prefix = EnergySeries(
-                indices=series.indices[: depth + 1],
-                values=series.values[: depth + 1],
-                order=series.order,
-                source=series.source,
+                indices=np.arange(depth + 1, dtype=float),
+                values=np.array(energies[: depth + 1]),
+                order=spec.energy_order,
+                source=variant,
             )
             try:
                 fit = fit_decay(prefix)
@@ -271,6 +304,8 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float]:
                 error=f"{type(exc).__name__}: {exc}",
                 layer=exc.layer if isinstance(exc, NonFiniteLayerError) else None,
             )
+            if depth in dumps and os.path.isdir(dumps[depth]):
+                shutil.rmtree(dumps[depth])
             if out_dir is not None:
                 _write_job_error(out_dir, job, config_hash)
         else:
@@ -289,19 +324,18 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float]:
                     out_dir, job, states[: depth + 1], changes.values, spec, config_hash
                 )
         jobs.append(job)
-    return jobs, time.perf_counter() - start
+    kept = sum(state is not None for state in states)
+    return jobs, time.perf_counter() - start, kept, len(states)
 
 
-def _job_dir(out_dir: str, job: SweepJob) -> str:
-    return os.path.join(
-        out_dir, job.variant, f"depth-{job.depth:03d}", f"seed-{job.seed:02d}"
-    )
+def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
+    return os.path.join(out_dir, variant, f"depth-{depth:03d}", f"seed-{seed:02d}")
 
 
 def _write_job_files(
     out_dir, job, states, changes, spec: SweepSpec, config_hash
 ) -> None:
-    directory = _job_dir(out_dir, job)
+    directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
     ensure_directory(directory)
     meta = _csv_meta(config_hash, job.seed)
     series = job.series
@@ -327,15 +361,6 @@ def _write_job_files(
             tuple(f"layer_{int(k)}" for k in keep),
             tuple(matrix[:, c] for c in range(matrix.shape[1])),
         )
-    if spec.dump_states:
-        states_dir = os.path.join(directory, "states")
-        ensure_directory(states_dir)
-        for k, state in enumerate(states):
-            write_matrix(
-                os.path.join(states_dir, f"layer-{k:03d}.csv"),
-                state,
-                provenance=f"config-hash={config_hash} seed={job.seed} layer={k}",
-            )
     report = {
         "variant": job.variant,
         "depth": job.depth,
@@ -349,7 +374,7 @@ def _write_job_files(
 
 
 def _write_job_error(out_dir, job: SweepJob, config_hash) -> None:
-    directory = _job_dir(out_dir, job)
+    directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
     ensure_directory(directory)
     _write_json(
         os.path.join(directory, "report.json"),

@@ -346,10 +346,14 @@ def prune_scan(
     ``deviation`` is the relative Frobenius distance between the two
     outputs; ``mean_cosine`` averages per-node cosine similarity. Layer
     indices are 1-based, matching ``forward_trajectory``. The intact stack
-    runs once, and each pruned stack resumes from its recorded states, so
-    only the layers after the skipped one are recomputed.
+    runs once and keeps only state k-1 for each requested layer k, next to
+    its decoder output; each pruned stack resumes from that state, so only
+    the layers after the skipped one are recomputed.
     """
-    intact = forward_trajectory(params, config, G, X_in)
+    layers = tuple(layers)
+    intact = forward_trajectory(
+        params, config, G, X_in, keep={layer - 1 for layer in layers}
+    )
     reference = intact.decoder_output
     scale = np.linalg.norm(reference)
     if scale == 0:

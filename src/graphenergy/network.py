@@ -16,12 +16,19 @@ aggregation step per feature count, so it vanishes exactly when features
 are constant and shrinks as smoothing proceeds; computing it costs O(nd)
 on top of the plain head.
 
+The forward pass is one stream of states X^0 .. X^L, with the layer
+loop and its finiteness check in one place. ``forward_trajectory`` hands
+each state to an optional observer as it is produced and holds only the
+states its caller keeps, so a depth-256 sweep measures every state but
+keeps only those its writers read later.
+
 There is no training here. Parameters are drawn once from a seeded
 generator so runs are reproducible bitwise.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +56,17 @@ class NonFiniteLayerError(RuntimeError):
     """A forward pass produced a non-finite value at ``layer``.
 
     ``trajectory`` is the finite prefix X^0 .. X^(layer-1) as recorded by
-    :func:`forward_trajectory` (its ``decoder_output`` is None, since the
-    stack never reached the decoder), or None where no prefix was kept.
+    :func:`forward_trajectory`, with None for each state its caller did
+    not keep (its ``decoder_output`` is None, since the stack never
+    reached the decoder), or None where no prefix was recorded. A caller
+    that measures states through ``observe``, as the sweep does, already
+    holds the measurements of the whole prefix when this is raised.
     """
 
-    def __init__(self, layer: int, trajectory: LayerTrajectory | None = None):
+    def __init__(self, layer: int):
         super().__init__(f"non-finite values appeared at layer {layer}")
         self.layer = layer
-        self.trajectory = trajectory
+        self.trajectory: LayerTrajectory | None = None
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,16 @@ class ModelParams:
 class LayerTrajectory:
     """Recorded forward pass: X^0 .. X^L plus ends and per-layer scalars.
 
+    ``states[k]`` is None where the run did not keep X^k (see the ``keep``
+    argument of :func:`forward_trajectory`).
+
     ``multipliers[k]`` holds the gating scalars of layer k+1 (one per
     head) for the gated variant and None otherwise; pruned layers also
     record None. ``decoder_output`` is None only on the finite prefix a
     :class:`NonFiniteLayerError` carries.
     """
 
-    states: tuple[np.ndarray, ...]
+    states: tuple[np.ndarray | None, ...]
     encoder_input: np.ndarray
     decoder_output: np.ndarray | None
     multipliers: tuple[np.ndarray | None, ...]
@@ -304,13 +317,21 @@ def forward_trajectory(
     G: WeightedGraph,
     X_in: np.ndarray,
     skip_layer: int | None = None,
+    *,
+    keep: Container[int] | None = None,
+    observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> LayerTrajectory:
-    """Run the stack and record every hidden state.
+    """Run the stack as a stream of states X^0 .. X^L and collect it.
+
+    ``observe(k, X)``, when given, sees each state as it is produced.
+    ``keep`` names the states the trajectory holds on to (default all);
+    the others are recorded as None, so a caller that measures states
+    through ``observe`` holds only what it reads later.
 
     ``skip_layer`` (1-based) passes that layer's input through untouched,
     which is the pruning used by the depth diagnostics. Non-finite values
     raise :class:`NonFiniteLayerError` with the offending layer index and
-    the finite prefix recorded before it.
+    the prefix recorded before it.
     """
     X_in = np.asarray(X_in, dtype=float)
     if X_in.ndim != 2 or X_in.shape != (G.n, config.input_dim):
@@ -320,7 +341,7 @@ def forward_trajectory(
         )
     _check_skip_layer(config, skip_layer)
 
-    states: list[np.ndarray] = []
+    states: list[np.ndarray | None] = []
     multipliers: list[np.ndarray | None] = []
 
     def recorded(decoded):
@@ -328,23 +349,19 @@ def forward_trajectory(
             states=tuple(states),
             encoder_input=X_in,
             decoder_output=decoded,
-            multipliers=tuple(multipliers),
+            multipliers=tuple(multipliers[1:]),  # the encoder has none
             source=config.variant,
         )
 
-    X = np.maximum(X_in @ params.encoder_w1 + params.encoder_b1, 0.0)
-    X = X @ params.encoder_w2 + params.encoder_b2
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteLayerError(0, recorded(None))
-    states.append(X)
-    for k, layer in enumerate(params.layers, start=1):
-        mult = None
-        if skip_layer != k:
-            X, mult = layer_step(X, layer, config, G)
-            if not np.all(np.isfinite(X)):
-                raise NonFiniteLayerError(k, recorded(None))
-        states.append(X)
-        multipliers.append(mult)
+    try:
+        for X, mult in _stream(params, config, G, X_in, 0, skip_layer):
+            if observe is not None:
+                observe(len(states), X)
+            states.append(X if keep is None or len(states) in keep else None)
+            multipliers.append(mult)
+    except NonFiniteLayerError as exc:
+        exc.trajectory = recorded(None)
+        raise
     return recorded(_decode(params, X))
 
 
@@ -359,18 +376,34 @@ def pruned_output(
     resumed from the intact run of the same stack and input.
 
     Layers before the skipped one compute exactly what ``intact`` already
-    recorded, so state ``skip_layer - 1`` stands in for state
-    ``skip_layer`` and only the layers after it run. The result is
-    bitwise equal to ``forward_trajectory(..., skip_layer=skip_layer)
-    .decoder_output``.
+    recorded, so state ``skip_layer - 1``, which ``intact`` must have
+    kept, stands in for state ``skip_layer`` and only the layers after it
+    run. The result is bitwise equal to ``forward_trajectory(...,
+    skip_layer=skip_layer).decoder_output``.
     """
     _check_skip_layer(config, skip_layer)
     X = intact.states[skip_layer - 1]
-    for k in range(skip_layer + 1, len(params.layers) + 1):
-        X, _ = layer_step(X, params.layers[k - 1], config, G)
+    if X is None:
+        raise ValueError(f"the intact run did not keep state {skip_layer - 1}")
+    for X, _ in _stream(params, config, G, X, skip_layer + 1):
+        pass
+    return _decode(params, X)
+
+
+def _stream(params, config, G, X, first, skip_layer=None):
+    """Yield ``(X^k, multipliers of layer k)`` for k = ``first`` .. L from
+    ``X = X^(first-1)``, where state -1 is the model input and state 0 the
+    encoder's output. This is the package's one layer loop."""
+    for k in range(first, len(params.layers) + 1):
+        mult = None
+        if k == 0:
+            X = np.maximum(X @ params.encoder_w1 + params.encoder_b1, 0.0)
+            X = X @ params.encoder_w2 + params.encoder_b2
+        elif skip_layer != k:
+            X, mult = layer_step(X, params.layers[k - 1], config, G)
         if not np.all(np.isfinite(X)):
             raise NonFiniteLayerError(k)
-    return _decode(params, X)
+        yield X, mult
 
 
 def _decode(params: ModelParams, X: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ from graphenergy.ingest import (
 )
 from graphenergy.network import ModelConfig, forward_trajectory, init_model
 
+from conftest import STATE_TEMPORARIES, nbytes, traced_peak
+
 
 def read_file_map(root):
     out = {}
@@ -248,9 +250,11 @@ class TestSweepPrefixes:
         assert lines[0].startswith("sweep [1/6] post_ln seed 0 depths 2,5,8: ok, ")
         assert lines[-1].startswith("sweep [6/6] nonlocal_post_ln seed 1 depths")
 
+    @pytest.mark.parametrize("dump_states", [False, True])
     def test_nonfinite_layer_fails_only_deeper_cells(
-        self, graph, tmp_path, monkeypatch, capsys
+        self, graph, tmp_path, monkeypatch, capsys, dump_states
     ):
+        spec = replace(self.SPEC, dump_states=dump_states)
         real = cli.init_model
 
         def poisoned(config):
@@ -259,10 +263,10 @@ class TestSweepPrefixes:
             layers[4] = replace(layers[4], out_weight=layers[4].out_weight * np.inf)
             return replace(params, layers=tuple(layers))
 
-        clean = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "clean"))
+        clean = run_sweep(graph, spec, out_dir=str(tmp_path / "clean"))
         monkeypatch.setattr(cli, "init_model", poisoned)
         with np.errstate(invalid="ignore", over="ignore"):
-            result = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "bad"))
+            result = run_sweep(graph, spec, out_dir=str(tmp_path / "bad"))
         for job in result.jobs:
             if job.depth == 2:
                 assert job.ok
@@ -277,9 +281,16 @@ class TestSweepPrefixes:
         clean_files = read_file_map(tmp_path / "clean")
         bad_files = read_file_map(tmp_path / "bad")
         shallow = [k for k in clean_files if os.sep + "depth-002" + os.sep in k]
-        assert len(shallow) == 6 * 4
+        assert len(shallow) == 6 * (4 + 3 * dump_states)  # states X^0..X^2
         for key in shallow:
             assert bad_files[key] == clean_files[key], key
+        for v in self.SPEC.variants:
+            for d in (5, 8):
+                for s in (0, 1):
+                    job = os.path.join(v, f"depth-{d:03d}", f"seed-{s:02d}")
+                    assert sorted(
+                        k for k in bad_files if k.startswith(job + os.sep)
+                    ) == [os.path.join(job, "report.json")]
         report = json.loads(bad_files[os.path.join(
             "pre_ln", "depth-005", "seed-01", "report.json")])
         assert report["layer"] == 5 and "layer 5" in report["error"]
@@ -300,6 +311,50 @@ class TestSweepPrefixes:
         ]
         assert read_file_map(tmp_path / "serial") == read_file_map(tmp_path / "pooled")
         assert capsys.readouterr().err.count("[6/6]") == 2
+
+
+class TestSweepMemory:
+    """A sweep holds only the states its writers read: the union of the
+    depths' cosine subsamples, or none without cosine matrices. Peaks are
+    traced allocations while the sweep runs; the forward pass also holds
+    the model's parameters, and the cosine writer up to COSINE_LAYER_CAP
+    normalized copies of states."""
+
+    N, HIDDEN, DEPTHS = 3000, 16, (2, 64)
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        return generate_graph(SyntheticSpec(kind="ring", size=self.N, seed=0))
+
+    def peak_and_bound(self, G, tmp_path, write_cosine):
+        spec = SweepSpec(
+            depths=self.DEPTHS, variants=("post_ln",), seeds=(0,),
+            hidden_dim=self.HIDDEN, input_dim=8, output_dim=3,
+            write_cosine=write_cosine,
+        )
+        run_sweep(G, replace(spec, depths=(1,)))  # build the graph's caches
+        _, peak = traced_peak(lambda: run_sweep(G, spec, out_dir=str(tmp_path)))
+        cfg = ModelConfig(input_dim=8, output_dim=3, depth=max(self.DEPTHS),
+                          hidden_dim=self.HIDDEN)
+        kept = len({
+            k for d in self.DEPTHS
+            for k in cli._subsample(d + 1, cli.COSINE_LAYER_CAP)
+        }) if write_cosine else 0
+        cosine = cli.COSINE_LAYER_CAP if write_cosine else 0
+        state = self.N * self.HIDDEN * 8
+        return peak, nbytes(init_model(cfg)) + (
+            kept + cosine + STATE_TEMPORARIES) * state, kept
+
+    def test_keeps_only_the_cosine_union(self, ring, tmp_path, capsys):
+        peak, bound, kept = self.peak_and_bound(ring, tmp_path, True)
+        assert kept == 19  # of the 65 states of the depth-64 run
+        assert peak < bound
+        assert capsys.readouterr().err.rstrip().endswith("kept 19 of 65 states")
+
+    def test_keeps_no_state_without_cosine(self, ring, tmp_path, capsys):
+        peak, bound, kept = self.peak_and_bound(ring, tmp_path, False)
+        assert kept == 0 and peak < bound
+        assert capsys.readouterr().err.rstrip().endswith("kept 0 of 65 states")
 
 
 class TestFlow:

@@ -16,6 +16,7 @@ from graphenergy.diagnostics import (
 )
 from graphenergy.dynamics import FlowSpec, simulate_heat
 from graphenergy.graph import build_weighted_graph
+from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
 from graphenergy.attention import AttentionKind
 from graphenergy.network import (
     LayerTrajectory,
@@ -24,7 +25,7 @@ from graphenergy.network import (
     init_model,
 )
 
-from conftest import P3_EDGES, random_graph
+from conftest import P3_EDGES, STATE_TEMPORARIES, random_graph, traced_peak
 
 
 def layer_trajectory(states, source="test"):
@@ -355,6 +356,17 @@ class TestPrune:
             assert report.deviation == deviation
             assert report.mean_cosine == float(np.nanmean(cosines))
             assert report.deviation > 0
+
+    def test_scan_keeps_only_the_states_before_pruned_layers(self):
+        n, hidden, layers = 3000, 16, (32, 48, 62)
+        G = generate_graph(SyntheticSpec(kind="ring", size=n, seed=0))
+        X = random_features(n, 8, seed=7)
+        cfg = ModelConfig(input_dim=8, output_dim=3, depth=64, hidden_dim=hidden)
+        shallow = replace(cfg, depth=1)
+        prune_scan(init_model(shallow), shallow, G, X, (1,))  # build G's caches
+        params = init_model(cfg)
+        _, peak = traced_peak(lambda: prune_scan(params, cfg, G, X, layers))
+        assert peak < (len(layers) + STATE_TEMPORARIES) * n * hidden * 8
 
     def test_scan_out_of_range_layer(self, p3):
         cfg = ModelConfig(input_dim=2, output_dim=2, depth=2, hidden_dim=4)

@@ -6,8 +6,6 @@ conftest before the sparse kernels existed.
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +32,7 @@ from conftest import (
     grad_inner_oracle,
     neighbors,
     random_graph,
+    traced_peak,
 )
 
 REL_TOL = 1e-12
@@ -268,12 +267,7 @@ class TestKernelEdgeCases:
         ids = np.arange(n)
         ring = build_weighted_graph(np.column_stack([ids, (ids + 1) % n]), n=n)
         X = np.random.default_rng(44).normal(size=(n, d))
-        tracemalloc.start()
-        try:
-            out = laplacian_apply(ring, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: laplacian_apply(ring, X))
         edges = ring.indices.size // 2
         # the call holds the edge differences (edges x d) and the output
         # (n x d); twice their size leaves room for building the incidence

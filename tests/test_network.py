@@ -383,6 +383,43 @@ class TestPrefixInvariant:
         assert prefix.depth == 2 and prefix.decoder_output is None
         assert _bits(prefix.states) == _bits(clean.states[:3])
 
+    def test_observe_sees_every_state_and_keep_holds_only_the_listed(self):
+        rng = np.random.default_rng(33)
+        G, _ = random_graph(rng, 8)
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=5, hidden_dim=8,
+                          heads=2, variant="nonlocal_post_ln",
+                          attention=AttentionKind("gat"), seed=3)
+        params = init_model(cfg)
+        X = rng.normal(size=(8, 3))
+        full = forward_trajectory(params, cfg, G, X)
+
+        seen = []
+        kept = forward_trajectory(params, cfg, G, X, keep={1, 4},
+                                  observe=lambda k, state: seen.append((k, state)))
+        assert [k for k, _ in seen] == list(range(6))
+        assert _bits(tuple(state for _, state in seen)) == _bits(full.states)
+        assert [k for k, s in enumerate(kept.states) if s is not None] == [1, 4]
+        assert _bits(kept.states[4]) == _bits(full.states[4])
+        assert _bits(kept.multipliers) == _bits(full.multipliers)
+        assert _bits(kept.decoder_output) == _bits(full.decoder_output)
+        assert _bits(pruned_output(params, cfg, G, kept, 5)) == _bits(
+            pruned_output(params, cfg, G, full, 5))
+        with pytest.raises(ValueError, match="did not keep state 2"):
+            pruned_output(params, cfg, G, kept, 3)
+
+        layers = list(params.layers)
+        layers[2] = dataclasses.replace(
+            layers[2], out_weight=layers[2].out_weight * np.inf)
+        broken = dataclasses.replace(params, layers=tuple(layers))
+        seen.clear()
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLayerError) as err:
+            forward_trajectory(broken, cfg, G, X, keep={1},
+                               observe=lambda k, state: seen.append((k, state)))
+        assert [k for k, _ in seen] == [0, 1, 2]
+        prefix = err.value.trajectory
+        assert prefix.states[0] is None and prefix.states[2] is None
+        assert _bits(prefix.states[1]) == _bits(full.states[1])
+
 
 def _bits(value):
     """Every array byte and None inside nested dataclasses and tuples."""
