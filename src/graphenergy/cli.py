@@ -22,8 +22,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
-from types import SimpleNamespace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +37,8 @@ from graphenergy.diagnostics import (
     fit_decay,
     prune_scan,
     relative_change_series,
+    unit_row_gram,
+    unit_rows,
 )
 from graphenergy.dynamics import (
     FLOW_GATED,
@@ -104,7 +105,12 @@ def surrogate_spec(seed: int = 0) -> SyntheticSpec:
 @dataclass(frozen=True)
 class SweepSpec:
     """One initialization sweep: the cross product of variants, depths,
-    and seeds on a single graph."""
+    and seeds on a single graph.
+
+    ``model_configs`` maps each variant to its model at the deepest depth
+    and seed 0, built on construction so that a bad model field fails
+    before any cell runs.
+    """
 
     depths: tuple[int, ...] = DEFAULT_DEPTHS
     variants: tuple[str, ...] = MODEL_VARIANTS
@@ -120,12 +126,28 @@ class SweepSpec:
     energy_order: int = 2
     dump_states: bool = False
     write_cosine: bool = True
+    model_configs: dict[str, ModelConfig] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.depths or not self.variants or not self.seeds:
             raise ValueError("depths, variants, and seeds must be nonempty")
         if min(self.depths) < 1:
             raise ValueError("depths must be positive")
+        configs = {
+            variant: ModelConfig(
+                input_dim=self.input_dim,
+                output_dim=self.output_dim,
+                depth=max(self.depths),
+                hidden_dim=self.hidden_dim,
+                heads=self.heads,
+                variant=variant,
+                attention=self.attention,
+            )
+            for variant in self.variants
+        }
+        object.__setattr__(self, "model_configs", configs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +199,9 @@ def run_sweep(
     depth-d stack is the first d layers of a deeper one with the same
     seed: each (variant, seed) runs and measures once at the deepest
     depth, and every depth takes its prefix. Energies are measured as the
-    states are produced, and only the states the cosine matrices read are
-    kept. One progress line per (variant, seed) goes to stderr.
+    states are produced, and of the states the cosine matrices read only
+    their unit-row forms are kept. One progress line per (variant, seed)
+    goes to stderr.
     """
     X = random_features(
         G.n, spec.input_dim, seed=spec.feature_seed, scale=spec.feature_scale
@@ -223,30 +246,23 @@ def run_sweep(
 def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
     """Run one (variant, seed) at the deepest depth and build every
     depth's job from its prefix; returns the jobs, the wall seconds, and
-    how many of the produced states were kept.
+    how many of the produced states were kept for the cosine matrices.
 
     Each state's energy is measured, and with ``dump_states`` its file
     written into every depth that reaches it, as the forward pass produces
-    it. Only the union of the depths' cosine subsamples is kept.
+    it. No state itself is kept: each state in the union of the depths'
+    cosine subsamples is normalized to unit rows once, as it arrives, and
+    every depth's cosine matrix is the Gram of its subsample of those.
 
-    A non-finite layer k fails only the depths that reach it; the energies
-    measured before it still serve every shallower depth, and a failed
-    depth's directory holds only its ``report.json``. Any other failure
-    fails every depth.
+    A non-finite layer k fails only the depths that reach it; the k
+    energies measured before it still serve every shallower depth, and a
+    failed depth's directory holds only its ``report.json``. Any other
+    failure fails every depth.
     """
     G, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
-    cfg = ModelConfig(
-        input_dim=spec.input_dim,
-        output_dim=spec.output_dim,
-        depth=max(spec.depths),
-        hidden_dim=spec.hidden_dim,
-        heads=spec.heads,
-        variant=variant,
-        attention=spec.attention,
-        seed=seed,
-    )
-    keep = {
+    cfg = replace(spec.model_configs[variant], seed=seed)
+    cosine_layers = {
         k for depth in spec.depths for k in _subsample(depth + 1, COSINE_LAYER_CAP)
     } if spec.write_cosine else set()
     dumps = {
@@ -255,9 +271,12 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
     } if out_dir is not None and spec.dump_states else {}
     canonical = canonical_energy_graph(G)
     energies = []
+    units = {}
 
     def measure(k, state):
         energies.append(derivative_energy(canonical, state, spec.energy_order))
+        if k in cosine_layers:
+            units[k] = unit_rows(state)
         for depth, states_dir in dumps.items():
             if k == 0:
                 ensure_directory(states_dir)
@@ -268,21 +287,18 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
                     provenance=f"config-hash={config_hash} seed={seed} layer={k}",
                 )
 
-    states, failure = (), None
+    failure, reached = None, cfg.depth + 1
     try:
-        try:
-            states = forward_trajectory(
-                init_model(cfg), cfg, G, X, keep=keep, observe=measure
-            ).states
-        except NonFiniteLayerError as exc:
-            states, failure = exc.trajectory.states, exc
+        forward_trajectory(init_model(cfg), cfg, G, X, keep=(), observe=measure)
+    except NonFiniteLayerError as exc:
+        failure, reached = exc, exc.layer
     except Exception as exc:  # capture per trajectory, keep the sweep alive
-        states, failure = (), exc
+        failure, reached = exc, 0
 
     jobs = []
     for depth in spec.depths:
         try:
-            if depth >= len(states):
+            if depth >= reached:
                 raise failure  # this depth reaches the failed layer
             prefix = EnergySeries(
                 indices=np.arange(depth + 1, dtype=float),
@@ -320,12 +336,10 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
                 stall=changes.verdict,
             )
             if out_dir is not None:
-                _write_job_files(
-                    out_dir, job, states[: depth + 1], changes.values, spec, config_hash
-                )
+                _write_job_files(out_dir, job, units, changes.values, spec, config_hash)
         jobs.append(job)
-    kept = sum(state is not None for state in states)
-    return jobs, time.perf_counter() - start, kept, len(states)
+    kept = sum(k < reached for k in units)
+    return jobs, time.perf_counter() - start, kept, reached
 
 
 def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
@@ -333,7 +347,7 @@ def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
 
 
 def _write_job_files(
-    out_dir, job, states, changes, spec: SweepSpec, config_hash
+    out_dir, job, units, changes, spec: SweepSpec, config_hash
 ) -> None:
     directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
     ensure_directory(directory)
@@ -352,9 +366,8 @@ def _write_job_files(
         (series.indices[1:], changes),
     )
     if spec.write_cosine:
-        keep = _subsample(len(states), COSINE_LAYER_CAP)
-        sub = SimpleNamespace(states=tuple(states[k] for k in keep))
-        matrix = cosine_similarity_matrix(sub)
+        keep = _subsample(job.depth + 1, COSINE_LAYER_CAP)
+        matrix = unit_row_gram([units[k] for k in keep])
         _write_csv(
             os.path.join(directory, "cosine.csv"),
             meta + [f"# layers {','.join(str(int(k)) for k in keep)}"],
@@ -367,8 +380,8 @@ def _write_job_files(
         "seed": job.seed,
         "final_energy": job.final_energy,
         "energy_order": spec.energy_order,
-        "fit": _fit_dict(job.fit),
-        "stall": _stall_dict(job.stall),
+        "fit": None if job.fit is None else asdict(job.fit),
+        "stall": asdict(job.stall),
     }
     _write_json(os.path.join(directory, "report.json"), report, config_hash, job.seed)
 
@@ -546,40 +559,6 @@ def _jsonable(value):
     return value
 
 
-def _fit_dict(fit: FitReport | None):
-    if fit is None:
-        return None
-    def line(f):
-        return None if f is None else {
-            "slope": f.slope,
-            "intercept": f.intercept,
-            "r_squared": f.r_squared,
-        }
-    return {
-        "law": fit.law,
-        "exponent": fit.exponent,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "classification": fit.classification,
-        "power_fit": line(fit.power_fit),
-        "exponential_fit": line(fit.exponential_fit),
-    }
-
-
-def _stall_dict(stall: StallVerdict | None):
-    if stall is None:
-        return None
-    return {
-        "stalled": stall.stalled,
-        "energy_slope": stall.energy_slope,
-        "median_tail_change": stall.median_tail_change,
-        "change_trend": stall.change_trend,
-        "tail_start": stall.tail_start,
-        "threshold": stall.threshold,
-    }
-
-
 # ------------------------------------------------------------- argument
 
 
@@ -696,22 +675,25 @@ def _expand_config(argv: list[str]) -> list[str]:
 def cmd_sweep(args) -> int:
     G, label = _resolve_graph(args)
     attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
-    spec = SweepSpec(
-        depths=args.depths,
-        variants=tuple(args.variants.split(",")),
-        seeds=args.seeds,
-        attention=attention,
-        heads=args.heads,
-        hidden_dim=args.hidden_dim,
-        input_dim=args.input_dim,
-        output_dim=args.output_dim,
-        feature_seed=args.feature_seed,
-        feature_scale=args.feature_scale,
-        graph_label=label,
-        energy_order=args.energy_order,
-        dump_states=args.dump_states,
-        write_cosine=not args.no_cosine,
-    )
+    try:
+        spec = SweepSpec(
+            depths=args.depths,
+            variants=tuple(args.variants.split(",")),
+            seeds=args.seeds,
+            attention=attention,
+            heads=args.heads,
+            hidden_dim=args.hidden_dim,
+            input_dim=args.input_dim,
+            output_dim=args.output_dim,
+            feature_seed=args.feature_seed,
+            feature_scale=args.feature_scale,
+            graph_label=label,
+            energy_order=args.energy_order,
+            dump_states=args.dump_states,
+            write_cosine=not args.no_cosine,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad sweep arguments: {exc}") from None
     ensure_directory(args.out)
     result = run_sweep(G, spec, out_dir=args.out, workers=args.workers)
     failed = [j for j in result.jobs if not j.ok]
@@ -768,7 +750,7 @@ def cmd_flow(args) -> int:
     report: dict = {"flow": args.flow, "lambda_max": trajectory.lambda_max}
     try:
         fit = fit_decay(series)
-        report["fit"] = _fit_dict(fit)
+        report["fit"] = asdict(fit)
         print(
             f"flow {args.flow}: {fit.classification}, slope {fit.exponent:.4g}, "
             f"R^2 {fit.r_squared:.4f}"
@@ -802,9 +784,8 @@ def cmd_prune(args) -> int:
         G.n, args.input_dim, seed=args.feature_seed, scale=args.feature_scale
     )
     attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
-    rows = []
-    for seed in args.seeds:
-        cfg = ModelConfig(
+    try:
+        base = ModelConfig(
             input_dim=args.input_dim,
             output_dim=args.output_dim,
             depth=args.depth,
@@ -812,8 +793,12 @@ def cmd_prune(args) -> int:
             heads=args.heads,
             variant=args.variant,
             attention=attention,
-            seed=seed,
         )
+    except ValueError as exc:
+        raise SystemExit(f"bad model arguments: {exc}") from None
+    rows = []
+    for seed in args.seeds:
+        cfg = replace(base, seed=seed)
         for report in prune_scan(init_model(cfg), cfg, G, X, args.layers):
             rows.append((report.layer, seed, report.deviation, report.mean_cosine))
 
@@ -894,7 +879,7 @@ def cmd_fit(args) -> int:
         if not sep:
             raise SystemExit("--window range needs a colon, e.g. 10:100")
     fit = fit_decay(series, window=window)
-    payload = _fit_dict(fit)
+    payload = asdict(fit)
     config_hash = _config_hash(
         {"series": os.path.basename(args.series), "window": args.window}
     )
@@ -916,7 +901,7 @@ def cmd_similarity(args) -> int:
     if not names:
         raise SystemExit(f"{args.states}: no layer-*.csv files")
     states = tuple(load_matrix(os.path.join(args.states, name)) for name in names)
-    matrix = cosine_similarity_matrix(SimpleNamespace(states=states))
+    matrix = cosine_similarity_matrix(states)
     config_hash = _config_hash({"states": names})
     _write_csv(
         args.out,

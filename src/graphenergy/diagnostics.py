@@ -3,7 +3,8 @@
 Everything here consumes recorded trajectories and produces plot-ready
 series: smoothness energies per layer or per time stamp, relative energy
 increments with a stall verdict, pairwise cosine similarity between
-recorded states, least-squares decay-law fits, and the representation
+states (through their unit-row forms, which a caller can keep in place
+of the states), least-squares decay-law fits, and the representation
 cost of skipping a single layer.
 
 Energies are always measured on the canonical unit-weight graph
@@ -13,9 +14,8 @@ on, so numbers from different architectures are comparable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +103,10 @@ class RelativeChangeSeries:
     verdict: StallVerdict
 
 
-class LineFit(NamedTuple):
+@dataclass(frozen=True)
+class LineFit:
+    """Least-squares line through log-energies, with its R^2."""
+
     slope: float
     intercept: float
     r_squared: float
@@ -149,6 +152,9 @@ def energy_series(trajectory, order: int = 2, *, topology: WeightedGraph) -> Ene
     canonical = canonical_energy_graph(topology)
     if isinstance(trajectory, LayerTrajectory):
         states = trajectory.states
+        unkept = [k for k, X in enumerate(states) if X is None]
+        if unkept:
+            raise ValueError(f"the trajectory did not keep state {unkept[0]}")
         indices = np.arange(len(states), dtype=float)
         source = trajectory.source
     elif isinstance(trajectory, FlowTrajectory):
@@ -210,33 +216,40 @@ def relative_change_series(
     return RelativeChangeSeries(values=values, verdict=verdict)
 
 
-def cosine_similarity_matrix(trajectory) -> np.ndarray:
-    """Mean per-node cosine similarity between every pair of recorded
-    states: entry (s, t) averages the cosine of matching feature rows.
+def cosine_similarity_matrix(states: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean per-node cosine similarity between every pair of states:
+    entry (s, t) averages the cosine of matching feature rows.
 
-    Any state containing a zero row poisons its matrix row and column
-    with NaN rather than raising.
+    This is :func:`unit_row_gram` of each state's :func:`unit_rows`. Any
+    state containing a zero row poisons its matrix row and column with
+    NaN rather than raising.
     """
-    states = trajectory.states
-    normalized = []
-    defined = []
-    for X in states:
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
-        ok = norms.min() > 0
-        defined.append(ok)
-        normalized.append(X / norms if ok else np.full_like(X, np.nan))
-    m = len(states)
+    return unit_row_gram([unit_rows(X) for X in states])
+
+
+def unit_rows(X: np.ndarray) -> np.ndarray | None:
+    """``X`` with each row divided by its Euclidean norm, or None when a
+    row is zero, where no cosine is defined."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / norms if norms.min() > 0 else None
+
+
+def unit_row_gram(rows: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Mean row-by-row inner product between every pair of unit-row
+    states, as :func:`unit_rows` returns them; a None state gets a NaN
+    matrix row and column, and every other diagonal entry is exactly 1."""
+    m = len(rows)
     sim = np.full((m, m), np.nan)
     for s in range(m):
-        if not defined[s]:
+        if rows[s] is None:
             continue
         for t in range(s, m):
-            if not defined[t]:
+            if rows[t] is None:
                 continue
-            value = float(np.einsum("ij,ij->", normalized[s], normalized[t]))
-            sim[s, t] = sim[t, s] = value / states[s].shape[0]
-    ids = np.arange(m)
-    sim[ids[defined], ids[defined]] = 1.0  # exact, not just up to roundoff
+            value = float(np.einsum("ij,ij->", rows[s], rows[t]))
+            sim[s, t] = sim[t, s] = value / rows[s].shape[0]
+    defined = [k for k, U in enumerate(rows) if U is not None]
+    sim[defined, defined] = 1.0  # exact, not just up to roundoff
     return sim
 
 

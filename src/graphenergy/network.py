@@ -19,8 +19,10 @@ on top of the plain head.
 The forward pass is one stream of states X^0 .. X^L, with the layer
 loop and its finiteness check in one place. ``forward_trajectory`` hands
 each state to an optional observer as it is produced and holds only the
-states its caller keeps, so a depth-256 sweep measures every state but
-keeps only those its writers read later.
+states its caller keeps, so a depth-256 sweep measures every state as
+it arrives and holds only what its writers read later. A non-finite
+state raises with its layer index alone: the observer has already seen
+the finite prefix.
 
 There is no training here. Parameters are drawn once from a seeded
 generator so runs are reproducible bitwise.
@@ -55,18 +57,15 @@ FFN_EXPANSION = 2  # FFN hidden width as a multiple of hidden_dim
 class NonFiniteLayerError(RuntimeError):
     """A forward pass produced a non-finite value at ``layer``.
 
-    ``trajectory`` is the finite prefix X^0 .. X^(layer-1) as recorded by
-    :func:`forward_trajectory`, with None for each state its caller did
-    not keep (its ``decoder_output`` is None, since the stack never
-    reached the decoder), or None where no prefix was recorded. A caller
-    that measures states through ``observe``, as the sweep does, already
-    holds the measurements of the whole prefix when this is raised.
+    States X^0 .. X^(layer-1) were finite and were handed to the
+    caller's ``observe`` callback before this is raised, so a caller that
+    measures states as they arrive, as the sweep does, already holds the
+    measurements of the whole finite prefix.
     """
 
     def __init__(self, layer: int):
         super().__init__(f"non-finite values appeared at layer {layer}")
         self.layer = layer
-        self.trajectory: LayerTrajectory | None = None
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,9 @@ class ModelConfig:
         if self.hidden_dim < 2:
             raise ValueError("hidden_dim must be at least 2 for row normalization")
         if self.heads < 1 or self.hidden_dim % self.heads != 0:
-            raise ValueError("heads must divide hidden_dim")
+            raise ValueError(
+                f"heads {self.heads} does not divide hidden_dim {self.hidden_dim}"
+            )
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
 
@@ -129,20 +130,19 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class LayerTrajectory:
-    """Recorded forward pass: X^0 .. X^L plus ends and per-layer scalars.
+    """Recorded forward pass: X^0 .. X^L, the decoder output and the
+    per-layer scalars.
 
     ``states[k]`` is None where the run did not keep X^k (see the ``keep``
     argument of :func:`forward_trajectory`).
 
     ``multipliers[k]`` holds the gating scalars of layer k+1 (one per
     head) for the gated variant and None otherwise; pruned layers also
-    record None. ``decoder_output`` is None only on the finite prefix a
-    :class:`NonFiniteLayerError` carries.
+    record None.
     """
 
     states: tuple[np.ndarray | None, ...]
-    encoder_input: np.ndarray
-    decoder_output: np.ndarray | None
+    decoder_output: np.ndarray
     multipliers: tuple[np.ndarray | None, ...]
     source: str
 
@@ -330,8 +330,8 @@ def forward_trajectory(
 
     ``skip_layer`` (1-based) passes that layer's input through untouched,
     which is the pruning used by the depth diagnostics. Non-finite values
-    raise :class:`NonFiniteLayerError` with the offending layer index and
-    the prefix recorded before it.
+    raise :class:`NonFiniteLayerError` with the offending layer index;
+    ``observe`` has seen every state before it.
     """
     X_in = np.asarray(X_in, dtype=float)
     if X_in.ndim != 2 or X_in.shape != (G.n, config.input_dim):
@@ -343,26 +343,17 @@ def forward_trajectory(
 
     states: list[np.ndarray | None] = []
     multipliers: list[np.ndarray | None] = []
-
-    def recorded(decoded):
-        return LayerTrajectory(
-            states=tuple(states),
-            encoder_input=X_in,
-            decoder_output=decoded,
-            multipliers=tuple(multipliers[1:]),  # the encoder has none
-            source=config.variant,
-        )
-
-    try:
-        for X, mult in _stream(params, config, G, X_in, 0, skip_layer):
-            if observe is not None:
-                observe(len(states), X)
-            states.append(X if keep is None or len(states) in keep else None)
-            multipliers.append(mult)
-    except NonFiniteLayerError as exc:
-        exc.trajectory = recorded(None)
-        raise
-    return recorded(_decode(params, X))
+    for X, mult in _stream(params, config, G, X_in, 0, skip_layer):
+        if observe is not None:
+            observe(len(states), X)
+        states.append(X if keep is None or len(states) in keep else None)
+        multipliers.append(mult)
+    return LayerTrajectory(
+        states=tuple(states),
+        decoder_output=_decode(params, X),
+        multipliers=tuple(multipliers[1:]),  # the encoder has none
+        source=config.variant,
+    )
 
 
 def pruned_output(

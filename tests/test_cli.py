@@ -191,6 +191,15 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--depths", "two", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--variants", "post_ln,foo", "'foo'"),
+        ("--heads", "3", "heads 3"),
+    ])
+    def test_bad_model_flag_fails_before_writing(self, tmp_path, flag, value, named):
+        with pytest.raises(SystemExit, match=named):
+            main(self.sweep_args(tmp_path, "run") + [flag, value])
+        assert not (tmp_path / "run").exists()
+
 
 class TestSweepPrefixes:
     """Each (variant, seed) runs once at the deepest depth; every cell must
@@ -314,11 +323,11 @@ class TestSweepPrefixes:
 
 
 class TestSweepMemory:
-    """A sweep holds only the states its writers read: the union of the
-    depths' cosine subsamples, or none without cosine matrices. Peaks are
-    traced allocations while the sweep runs; the forward pass also holds
-    the model's parameters, and the cosine writer up to COSINE_LAYER_CAP
-    normalized copies of states."""
+    """A sweep holds only what its writers read: one unit-row form of each
+    state in the union of the depths' cosine subsamples, or nothing
+    without cosine matrices. Peaks are traced allocations while the sweep
+    runs; the forward pass also holds the model's parameters, and the
+    cosine writer reads the kept forms without copying them."""
 
     N, HIDDEN, DEPTHS = 3000, 16, (2, 64)
 
@@ -340,10 +349,9 @@ class TestSweepMemory:
             k for d in self.DEPTHS
             for k in cli._subsample(d + 1, cli.COSINE_LAYER_CAP)
         }) if write_cosine else 0
-        cosine = cli.COSINE_LAYER_CAP if write_cosine else 0
         state = self.N * self.HIDDEN * 8
         return peak, nbytes(init_model(cfg)) + (
-            kept + cosine + STATE_TEMPORARIES) * state, kept
+            kept + STATE_TEMPORARIES) * state, kept
 
     def test_keeps_only_the_cosine_union(self, ring, tmp_path, capsys):
         peak, bound, kept = self.peak_and_bound(ring, tmp_path, True)
@@ -423,6 +431,18 @@ class TestPrune:
         assert set(report["medians"]) == {"2", "4"}
         rows = np.loadtxt(out / "prune.csv", delimiter=",", skiprows=3)
         assert rows.shape == (4, 4)
+
+    def test_bad_heads_fail_before_running(self, tmp_path):
+        with pytest.raises(SystemExit, match="heads 3"):
+            main(
+                [
+                    "prune", "--kind", "ring", "--size", "10",
+                    "--depth", "4", "--layers", "2", "--heads", "3",
+                    "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
+                    "--out", str(tmp_path / "prune"),
+                ]
+            )
+        assert not (tmp_path / "prune").exists()
 
     def test_layer_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="skip_layer"):

@@ -13,6 +13,8 @@ from graphenergy.diagnostics import (
     prune_layer_deviation,
     prune_scan,
     relative_change_series,
+    unit_row_gram,
+    unit_rows,
 )
 from graphenergy.dynamics import FlowSpec, simulate_heat
 from graphenergy.graph import build_weighted_graph
@@ -32,7 +34,6 @@ def layer_trajectory(states, source="test"):
     states = tuple(np.atleast_2d(np.asarray(s, dtype=float).T).T for s in states)
     return LayerTrajectory(
         states=states,
-        encoder_input=states[0],
         decoder_output=states[-1],
         multipliers=(None,) * (len(states) - 1),
         source=source,
@@ -105,6 +106,15 @@ class TestEnergySeries:
         assert s.source == "pre_ln"
         np.testing.assert_array_equal(s.indices, [0.0, 1.0])
 
+    def test_unkept_state_is_named(self):
+        rng = np.random.default_rng(3)
+        G, _ = random_graph(rng, 12)
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=3, hidden_dim=4)
+        traj = forward_trajectory(
+            init_model(cfg), cfg, G, rng.normal(size=(12, 3)), keep={1})
+        with pytest.raises(ValueError, match="did not keep state 0"):
+            energy_series(traj, topology=G)
+
     def test_unsupported_trajectory(self, p3):
         with pytest.raises(TypeError, match="unsupported"):
             energy_series(object(), topology=p3)
@@ -159,7 +169,7 @@ class TestCosineMatrix:
     def test_identical_and_negated_states(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(5, 3))
-        sim = cosine_similarity_matrix(layer_trajectory([X, X, -X]))
+        sim = cosine_similarity_matrix([X, X, -X])
         assert sim[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert sim[0, 2] == pytest.approx(-1.0, abs=1e-12)
         np.testing.assert_array_equal(np.diag(sim), 1.0)
@@ -167,19 +177,19 @@ class TestCosineMatrix:
     def test_hand_example(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)
-        sim = cosine_similarity_matrix(layer_trajectory([a, b]))
+        sim = cosine_similarity_matrix([a, b])
         assert sim[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         states = [rng.normal(size=(6, 4)) for _ in range(4)]
-        sim = cosine_similarity_matrix(layer_trajectory(states))
+        sim = cosine_similarity_matrix(states)
         np.testing.assert_array_equal(sim, sim.T)
 
     def test_zero_row_poisons_entries_without_raising(self):
         good = np.ones((3, 2))
         bad = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        sim = cosine_similarity_matrix(layer_trajectory([good, bad, good]))
+        sim = cosine_similarity_matrix([good, bad, good])
         assert np.isnan(sim[0, 1]) and np.isnan(sim[1, 1])
         assert sim[0, 2] == pytest.approx(1.0)
 
@@ -190,9 +200,24 @@ class TestCosineMatrix:
         X = rng.normal(size=(5, 3)) + 0.1
         Y = rng.normal(size=(5, 3))
         scale = rng.uniform(0.1, 10.0, size=(5, 1))
-        base = cosine_similarity_matrix(layer_trajectory([X, Y]))
-        scaled = cosine_similarity_matrix(layer_trajectory([scale * X, Y]))
+        base = cosine_similarity_matrix([X, Y])
+        scaled = cosine_similarity_matrix([scale * X, Y])
         np.testing.assert_allclose(scaled[0, 1], base[0, 1], atol=1e-12)
+
+    def test_unit_rows_then_gram_is_bitwise_the_matrix(self):
+        rng = np.random.default_rng(2)
+        states = [rng.normal(size=(7, 4)) for _ in range(4)]
+        states[2][3] = 0.0
+        units = [unit_rows(X) for X in states]
+        assert units[2] is None
+        for X, U in zip(states, units):
+            if U is not None:
+                assert U.tobytes() == (X / np.linalg.norm(
+                    X, axis=1, keepdims=True)).tobytes()
+        gram = unit_row_gram(units)
+        assert gram.tobytes() == cosine_similarity_matrix(states).tobytes()
+        assert np.isnan(gram[2]).all() and np.isnan(gram[:, 2]).all()
+        np.testing.assert_array_equal(np.diag(gram)[[0, 1, 3]], 1.0)
 
 
 class TestFitDecay:

@@ -376,12 +376,12 @@ class TestPrefixInvariant:
         layers[2] = dataclasses.replace(
             layers[2], out_weight=layers[2].out_weight * np.inf)
         broken = dataclasses.replace(params, layers=tuple(layers))
+        seen = []
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLayerError) as err:
-            forward_trajectory(broken, cfg, G, X)
-        assert err.value.layer == 3
-        prefix = err.value.trajectory
-        assert prefix.depth == 2 and prefix.decoder_output is None
-        assert _bits(prefix.states) == _bits(clean.states[:3])
+            forward_trajectory(broken, cfg, G, X,
+                               observe=lambda k, state: seen.append(state))
+        assert err.value.layer == 3 and len(seen) == err.value.layer
+        assert _bits(tuple(seen)) == _bits(clean.states[:3])
 
     def test_observe_sees_every_state_and_keep_holds_only_the_listed(self):
         rng = np.random.default_rng(33)
@@ -415,10 +415,9 @@ class TestPrefixInvariant:
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLayerError) as err:
             forward_trajectory(broken, cfg, G, X, keep={1},
                                observe=lambda k, state: seen.append((k, state)))
+        assert err.value.layer == 3
         assert [k for k, _ in seen] == [0, 1, 2]
-        prefix = err.value.trajectory
-        assert prefix.states[0] is None and prefix.states[2] is None
-        assert _bits(prefix.states[1]) == _bits(full.states[1])
+        assert _bits(tuple(state for _, state in seen)) == _bits(full.states[:3])
 
 
 def _bits(value):
