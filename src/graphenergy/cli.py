@@ -135,6 +135,10 @@ class SweepSpec:
             raise ValueError("depths, variants, and seeds must be nonempty")
         if min(self.depths) < 1:
             raise ValueError("depths must be positive")
+        if self.energy_order < 0:
+            raise ValueError(
+                f"energy order must be nonnegative, got {self.energy_order}"
+            )
         configs = {
             variant: ModelConfig(
                 input_dim=self.input_dim,
@@ -303,8 +307,6 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
             prefix = EnergySeries(
                 indices=np.arange(depth + 1, dtype=float),
                 values=np.array(energies[: depth + 1]),
-                order=spec.energy_order,
-                source=variant,
             )
             try:
                 fit = fit_decay(prefix)
@@ -472,21 +474,33 @@ def _config_hash(meta: dict) -> str:
 def _sweep_meta(G: WeightedGraph, spec: SweepSpec) -> dict:
     return {
         "graph_label": spec.graph_label,
-        "nodes": G.n,
-        "edges": int(G.indices.size // 2),
+        **_graph_meta(G),
         "depths": list(spec.depths),
         "variants": list(spec.variants),
         "seeds": list(spec.seeds),
-        "attention": [spec.attention.variant, spec.attention.leaky_slope],
-        "heads": spec.heads,
-        "hidden_dim": spec.hidden_dim,
-        "input_dim": spec.input_dim,
-        "output_dim": spec.output_dim,
-        "feature_seed": spec.feature_seed,
-        "feature_scale": spec.feature_scale,
+        **_model_meta(spec, spec.attention),
         "energy_order": spec.energy_order,
         "version": graphenergy.__version__,
     }
+
+
+def _graph_meta(G: WeightedGraph) -> dict:
+    return {"nodes": G.n, "edges": int(G.indices.size // 2)}
+
+
+def _model_meta(settings, attention: AttentionKind) -> dict:
+    """The model and feature settings of a model run, read by name from a
+    ``SweepSpec`` or from parsed ``prune`` arguments."""
+    fields = "heads hidden_dim input_dim output_dim feature_seed feature_scale"
+    meta = {name: getattr(settings, name) for name in fields.split()}
+    meta["attention"] = [attention.variant, attention.leaky_slope]
+    return meta
+
+
+def _data_digest(arrays) -> str:
+    """Digest of the shapes and values of the float arrays a command read."""
+    blob = b"".join(repr(a.shape).encode() + a.tobytes() for a in arrays)
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _csv_meta(config_hash: str, seed) -> list[str]:
@@ -707,14 +721,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if args.energy_order < 0:
+        raise SystemExit(
+            f"bad flow arguments: energy order must be nonnegative, "
+            f"got {args.energy_order}"
+        )
     G, label = _resolve_graph(args)
     X0 = random_features(G.n, args.d, seed=args.feature_seed, scale=args.feature_scale)
-    spec = FlowSpec(
-        kind=args.flow,
-        horizon=args.horizon,
-        dt=args.dt,
-        record_stride=args.stride,
-    )
+    spec = FlowSpec(horizon=args.horizon, dt=args.dt, record_stride=args.stride)
     simulate = {
         FLOW_HEAT: simulate_heat,
         FLOW_GATED: simulate_nonlocal,
@@ -725,10 +739,13 @@ def cmd_flow(args) -> int:
 
     meta = {
         "graph": label,
+        **_graph_meta(G),
         "flow": args.flow,
         "horizon": args.horizon,
         "dt": args.dt,
+        "stride": args.stride,
         "feature_seed": args.feature_seed,
+        "feature_scale": args.feature_scale,
         "d": args.d,
         "energy_order": args.energy_order,
         "version": graphenergy.__version__,
@@ -804,10 +821,12 @@ def cmd_prune(args) -> int:
 
     meta = {
         "graph": label,
+        **_graph_meta(G),
         "variant": args.variant,
         "depth": args.depth,
         "layers": list(args.layers),
         "seeds": list(args.seeds),
+        **_model_meta(args, attention),
         "version": graphenergy.__version__,
     }
     config_hash = _config_hash(meta)
@@ -864,9 +883,7 @@ def cmd_stats(args) -> int:
 
 def cmd_fit(args) -> int:
     indices, values = _read_series_csv(args.series)
-    series = EnergySeries(
-        indices=indices, values=values, order=args.energy_order, source="file"
-    )
+    series = EnergySeries(indices=indices, values=values)
     window = "auto"
     if args.window != "auto":
         lo, sep, hi = args.window.partition(":")
@@ -880,9 +897,11 @@ def cmd_fit(args) -> int:
             raise SystemExit("--window range needs a colon, e.g. 10:100")
     fit = fit_decay(series, window=window)
     payload = asdict(fit)
-    config_hash = _config_hash(
-        {"series": os.path.basename(args.series), "window": args.window}
-    )
+    config_hash = _config_hash({
+        "series": os.path.basename(args.series),
+        "data": _data_digest((indices, values)),
+        "window": args.window,
+    })
     if args.out:
         _write_json(args.out, {"fit": payload}, config_hash, None)
     print(
@@ -902,7 +921,7 @@ def cmd_similarity(args) -> int:
         raise SystemExit(f"{args.states}: no layer-*.csv files")
     states = tuple(load_matrix(os.path.join(args.states, name)) for name in names)
     matrix = cosine_similarity_matrix(states)
-    config_hash = _config_hash({"states": names})
+    config_hash = _config_hash({"states": names, "data": _data_digest(states)})
     _write_csv(
         args.out,
         _csv_meta(config_hash, None),
@@ -971,7 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a decay law to a series CSV")
     p.add_argument("--series", required=True)
     p.add_argument("--window", default="auto", help="'auto' or 'lo:hi'")
-    p.add_argument("--energy-order", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 

@@ -46,14 +46,11 @@ class EnergySeries:
     """Smoothness energy of each recorded state.
 
     ``indices`` are layer numbers or time stamps, strictly increasing;
-    ``order`` is the derivative order of the energy; ``source`` names
-    what produced the states (architecture variant or flow kind).
+    ``values`` are the nonnegative energies measured at them.
     """
 
     indices: np.ndarray
     values: np.ndarray
-    order: int
-    source: str
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=float)
@@ -79,8 +76,8 @@ class StallVerdict:
 
     ``stalled`` is True when all three hold over the tail window: the
     least-squares slope of the energy is nonnegative, the median absolute
-    relative increment sits below ``threshold``, and the increments trend
-    flat or downward.
+    relative increment sits below ``threshold`` (``STALL_THRESHOLD``), and
+    the increments trend flat or downward.
     """
 
     stalled: bool
@@ -156,21 +153,17 @@ def energy_series(trajectory, order: int = 2, *, topology: WeightedGraph) -> Ene
         if unkept:
             raise ValueError(f"the trajectory did not keep state {unkept[0]}")
         indices = np.arange(len(states), dtype=float)
-        source = trajectory.source
     elif isinstance(trajectory, FlowTrajectory):
         states = trajectory.states
         indices = np.asarray(trajectory.times, dtype=float)
-        source = trajectory.kind
     else:
         raise TypeError(f"unsupported trajectory type {type(trajectory).__name__}")
     values = np.array([derivative_energy(canonical, X, order) for X in states])
-    return EnergySeries(indices=indices, values=values, order=order, source=source)
+    return EnergySeries(indices=indices, values=values)
 
 
 def relative_change_series(
-    series: EnergySeries,
-    tail_fraction: float = 0.5,
-    threshold: float = STALL_THRESHOLD,
+    series: EnergySeries, tail_fraction: float = 0.5
 ) -> RelativeChangeSeries:
     """Relative increments of an energy series with a stall verdict.
 
@@ -202,7 +195,7 @@ def relative_change_series(
         scale = max(abs(E[tail_start:]).max(), 1e-300)
         stalled = (
             energy_slope >= -1e-12 * scale
-            and median_change < threshold
+            and median_change < STALL_THRESHOLD
             and trend <= 1e-12
         )
     verdict = StallVerdict(
@@ -211,7 +204,7 @@ def relative_change_series(
         median_tail_change=float(median_change),
         change_trend=float(trend),
         tail_start=tail_start,
-        threshold=threshold,
+        threshold=STALL_THRESHOLD,
     )
     return RelativeChangeSeries(values=values, verdict=verdict)
 

@@ -53,21 +53,19 @@ class FlowInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Flow selector and integration controls.
+    """Integration controls of a flow; the ``simulate_*`` function called
+    picks the flow itself.
 
     ``dt=None`` picks ``0.5 * SAFETY / lambda_max``. Every recorded state
     keeps its time stamp; recording happens every ``record_stride`` steps
     plus the initial and final states.
     """
 
-    kind: str
     horizon: float
     dt: float | None = None
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in FLOW_KINDS:
-            raise ValueError(f"unknown flow kind {self.kind!r}; expected {FLOW_KINDS}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.dt is not None and self.dt <= 0:
@@ -86,7 +84,6 @@ class FlowTrajectory:
     normalized flow.
     """
 
-    kind: str
     times: np.ndarray
     states: tuple[np.ndarray, ...]
     dirichlet: np.ndarray
@@ -122,8 +119,6 @@ def simulate_heat(G: WeightedGraph, X0: np.ndarray, spec: FlowSpec) -> FlowTraje
     is checked to be non-increasing; an increase beyond roundoff raises
     :class:`FlowInstabilityError` advising a smaller step.
     """
-    if spec.kind != FLOW_HEAT:
-        raise ValueError(f"spec.kind is {spec.kind!r}, expected {FLOW_HEAT!r}")
     X, _ = _as_features(G, X0)
     lam_max, dt = _resolve_step(G, spec)
 
@@ -136,7 +131,7 @@ def simulate_heat(G: WeightedGraph, X0: np.ndarray, spec: FlowSpec) -> FlowTraje
         t += dt
         if k % spec.record_stride == 0 or k == steps:
             records.append((t, X.copy(), _gate(G, LX)))
-    traj = _finish(FLOW_HEAT, G, records, lam_max)
+    traj = _finish(G, records, lam_max)
     _check_monotone_decay(traj)
     return traj
 
@@ -151,8 +146,6 @@ def simulate_nonlocal(
     zero means the state is stationary; the run then jumps straight to the
     horizon.
     """
-    if spec.kind != FLOW_GATED:
-        raise ValueError(f"spec.kind is {spec.kind!r}, expected {FLOW_GATED!r}")
     X, _ = _as_features(G, X0)
     lam_max, dt_eff = _resolve_step(G, spec)
 
@@ -170,7 +163,7 @@ def simulate_nonlocal(
             gate = _gate(G, LX)
         if k % spec.record_stride == 0 or t >= spec.horizon:
             records.append((t, X.copy(), gate))
-    traj = _finish(FLOW_GATED, G, records, lam_max)
+    traj = _finish(G, records, lam_max)
     _check_monotone_decay(traj)
     return traj
 
@@ -184,10 +177,6 @@ def simulate_preln_flow(
     is asserted) and rows that never vanish, since every row is projected
     to the sphere of radius ``sqrt(n / ∫ 1 dmu)`` before aggregating.
     """
-    if spec.kind != FLOW_NORMALIZED:
-        raise ValueError(
-            f"spec.kind is {spec.kind!r}, expected {FLOW_NORMALIZED!r}"
-        )
     if not G.aggregation_admissible:
         raise ValueError(
             "normalized aggregation flow needs sum of incident weights < "
@@ -213,7 +202,7 @@ def simulate_preln_flow(
         if k % spec.record_stride == 0 or k == steps:
             records.append((t, X.copy(), _gate(G, laplacian_apply(G, X))))
             masses.append(_norm_mass(G, X, radius))
-    return _finish(FLOW_NORMALIZED, G, records, lam_max, np.asarray(masses))
+    return _finish(G, records, lam_max, np.asarray(masses))
 
 
 def _sphere_project(X: np.ndarray, radius: float) -> np.ndarray:
@@ -253,12 +242,11 @@ def _resolve_step(G: WeightedGraph, spec: FlowSpec) -> tuple[float, float]:
     return lam_max, dt
 
 
-def _finish(kind, G, records, lam_max, masses=None) -> FlowTrajectory:
+def _finish(G, records, lam_max, masses=None) -> FlowTrajectory:
     """Trajectory from ``(time, state, gate)`` records."""
     times, states, gates = zip(*records)
     gate = np.array(gates)
     return FlowTrajectory(
-        kind=kind,
         times=np.array(times),
         states=states,
         dirichlet=np.array([derivative_energy(G, X, 1) for X in states]),

@@ -305,7 +305,8 @@ def derivative_energy(G: WeightedGraph, X, m: int) -> float:
 
 
 def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
-    """Same topology with unit weights and measure ``degree + 1``.
+    """Same topology (sharing the read-only ``indptr`` and ``indices``)
+    with unit weights and measure ``degree + 1``.
 
     All cross-variant energy comparisons happen on this graph so that
     attention-induced weights never leak into the measurement.
@@ -314,8 +315,8 @@ def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
     measure = np.asarray(G.degrees, dtype=float) + 1.0
     return WeightedGraph(
         n=G.n,
-        indptr=G.indptr.copy(),
-        indices=G.indices.copy(),
+        indptr=G.indptr,
+        indices=G.indices,
         weights=weights,
         measure=measure,
     )

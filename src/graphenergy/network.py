@@ -133,8 +133,9 @@ class LayerTrajectory:
     """Recorded forward pass: X^0 .. X^L, the decoder output and the
     per-layer scalars.
 
-    ``states[k]`` is None where the run did not keep X^k (see the ``keep``
-    argument of :func:`forward_trajectory`).
+    The depth L is ``len(states) - 1``. ``states[k]`` is None where the
+    run did not keep X^k (see the ``keep`` argument of
+    :func:`forward_trajectory`).
 
     ``multipliers[k]`` holds the gating scalars of layer k+1 (one per
     head) for the gated variant and None otherwise; pruned layers also
@@ -144,11 +145,6 @@ class LayerTrajectory:
     states: tuple[np.ndarray | None, ...]
     decoder_output: np.ndarray
     multipliers: tuple[np.ndarray | None, ...]
-    source: str
-
-    @property
-    def depth(self) -> int:
-        return len(self.states) - 1
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
@@ -352,7 +348,6 @@ def forward_trajectory(
         states=tuple(states),
         decoder_output=_decode(params, X),
         multipliers=tuple(multipliers[1:]),  # the encoder has none
-        source=config.variant,
     )
 
 

@@ -71,8 +71,6 @@ def median_series(jobs):
     return EnergySeries(
         indices=jobs[0].series.indices,
         values=np.median(stack, axis=0),
-        order=2,
-        source=jobs[0].series.source,
     )
 
 
@@ -229,7 +227,7 @@ def test_criterion_03_heat_flow_rate():
         X0 += 0.3 * rng.standard_normal((G.n, d))
         dt = 0.05 / lam[-1]
         horizon = 6.0 / lam2
-        traj = simulate_heat(G, X0, FlowSpec(kind="heat", horizon=horizon, dt=dt))
+        traj = simulate_heat(G, X0, FlowSpec(horizon=horizon, dt=dt))
 
         tail = traj.times >= 0.6 * horizon
         slope = np.polyfit(traj.times[tail], np.log(traj.dirichlet[tail]), 1)[0]
@@ -253,7 +251,7 @@ def test_criterion_04_gated_flow_algebraic():
     slopes = []
     for G in graphs:
         X0 = np.random.default_rng(3).standard_normal((G.n, 4))
-        traj = simulate_nonlocal(G, X0, FlowSpec(kind="nonlocal", horizon=1e5, dt=0.05))
+        traj = simulate_nonlocal(G, X0, FlowSpec(horizon=1e5, dt=0.05))
         t, E = traj.times, traj.dirichlet
 
         decade = (t >= t[-1] / 10.0) & (E > 0)
@@ -286,7 +284,7 @@ def test_criterion_05_normalized_flow_growth():
     for g_spec in specs:
         G = generate_graph(g_spec)
         X0 = np.random.default_rng(0).standard_normal((G.n, 3))
-        traj = simulate_preln_flow(G, X0, FlowSpec(kind="preln", horizon=60.0,
+        traj = simulate_preln_flow(G, X0, FlowSpec(horizon=60.0,
                                                    record_stride=4))
         assert np.all(np.abs(traj.norm_mass - G.n) <= 1e-10)
 
@@ -410,14 +408,14 @@ def test_criterion_09_fit_recovery():
     rng = np.random.default_rng(909)
     worst_clean, worst_noisy = 0.0, 0.0
     for law, idx, values, truth in planted:
-        fit = fit_decay(EnergySeries(indices=idx, values=values, order=2, source="planted"))
+        fit = fit_decay(EnergySeries(indices=idx, values=values))
         assert fit.law == law
         err = abs(fit.exponent - truth) / abs(truth)
         worst_clean = max(worst_clean, err)
         assert err <= 1e-6
 
         noisy = values * (1.0 + 0.01 * rng.standard_normal(values.size))
-        fit_n = fit_decay(EnergySeries(indices=idx, values=noisy, order=2, source="planted"))
+        fit_n = fit_decay(EnergySeries(indices=idx, values=noisy))
         assert fit_n.law == law
         err_n = abs(fit_n.exponent - truth) / abs(truth)
         worst_noisy = max(worst_noisy, err_n)

@@ -194,6 +194,7 @@ class TestSweep:
     @pytest.mark.parametrize("flag, value, named", [
         ("--variants", "post_ln,foo", "'foo'"),
         ("--heads", "3", "heads 3"),
+        ("--energy-order", "-1", "energy order must be nonnegative, got -1"),
     ])
     def test_bad_model_flag_fails_before_writing(self, tmp_path, flag, value, named):
         with pytest.raises(SystemExit, match=named):
@@ -412,6 +413,17 @@ class TestFlow:
         assert report["norm_mass_max_deviation"] < 1e-10
         assert np.isfinite(report["sqrt_energy_slope"])
 
+    def test_negative_energy_order_fails_before_running(self, p3_file, tmp_path):
+        out = tmp_path / "flow"
+        with pytest.raises(SystemExit, match="energy order must be nonnegative, got -1"):
+            main(
+                [
+                    "flow", "--edges", p3_file, "--flow", "heat",
+                    "--horizon", "1", "--energy-order", "-1", "--out", str(out),
+                ]
+            )
+        assert not out.exists()
+
 
 class TestPrune:
     def test_table_and_report(self, tmp_path, capsys):
@@ -453,6 +465,58 @@ class TestPrune:
                     "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
                 ]
             )
+
+
+PRUNE_ARGS = [
+    "prune", "--kind", "ring", "--size", "10", "--depth", "4", "--layers", "2",
+    "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
+]
+FLOW_ARGS = [
+    "flow", "--kind", "erdos-renyi", "--size", "30", "--edge-prob", "0.3",
+    "--flow", "heat", "--horizon", "1", "--d", "2",
+]
+
+
+class TestConfigHash:
+    """Two runs whose numbers differ never share a config hash."""
+
+    def report_hash(self, out, argv):
+        assert main(argv + ["--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["config_hash"]
+
+    @pytest.mark.parametrize("argv, a, b", [
+        (PRUNE_ARGS, ["--attention", "san"], ["--attention", "gat"]),
+        (FLOW_ARGS, ["--stride", "1"], ["--stride", "3"]),
+        (FLOW_ARGS, ["--graph-seed", "0"], ["--graph-seed", "1"]),
+    ], ids=["prune-attention", "flow-stride", "flow-graph-seed"])
+    def test_differing_input_changes_hash(self, tmp_path, argv, a, b):
+        assert self.report_hash(tmp_path / "a", argv + a) != self.report_hash(
+            tmp_path / "b", argv + b
+        )
+
+    def test_fit_hashes_the_series_data(self, tmp_path):
+        hashes = []
+        for name, rate in (("a", 0.5), ("b", 0.25)):
+            (tmp_path / name).mkdir()
+            series = tmp_path / name / "series.csv"
+            series.write_text("".join(f"{k},{np.exp(-rate * k)}\n" for k in range(10)))
+            out = tmp_path / name / "fit.json"
+            assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
+            hashes.append(json.loads(out.read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_similarity_hashes_the_states(self, tmp_path):
+        X = np.arange(6.0).reshape(3, 2) + 1.0
+        hashes = []
+        for name, second in (("a", 2 * X), ("b", X[::-1])):
+            states = tmp_path / name
+            states.mkdir()
+            write_matrix(states / "layer-000.csv", X)
+            write_matrix(states / "layer-001.csv", second)
+            out = tmp_path / f"{name}.csv"
+            assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
+            hashes.append(out.read_text().split()[1])  # "config-hash=..."
+        assert hashes[0] != hashes[1]
 
 
 class TestFit:

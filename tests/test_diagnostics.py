@@ -30,13 +30,12 @@ from graphenergy.network import (
 from conftest import P3_EDGES, STATE_TEMPORARIES, random_graph, traced_peak
 
 
-def layer_trajectory(states, source="test"):
+def layer_trajectory(states):
     states = tuple(np.atleast_2d(np.asarray(s, dtype=float).T).T for s in states)
     return LayerTrajectory(
         states=states,
         decoder_output=states[-1],
         multipliers=(None,) * (len(states) - 1),
-        source=source,
     )
 
 
@@ -47,8 +46,6 @@ def series(values, indices=None):
     return EnergySeries(
         indices=np.asarray(indices, dtype=float),
         values=values,
-        order=2,
-        source="test",
     )
 
 
@@ -72,6 +69,7 @@ class TestEnergySeries:
         traj = layer_trajectory([np.ones((3, 2)), np.ones((3, 2))])
         s = energy_series(traj, topology=p3)
         np.testing.assert_array_equal(s.values, [0.0, 0.0])
+        np.testing.assert_array_equal(s.indices, [0.0, 1.0])
 
     def test_p3_ramp_values(self, p3):
         ramp = np.array([0.0, 1.0, 2.0])
@@ -93,18 +91,9 @@ class TestEnergySeries:
 
     def test_flow_trajectory_indices_are_times(self, p3):
         X0 = np.array([1.0, 0.0, -1.0])
-        flow = simulate_heat(p3, X0, FlowSpec(kind="heat", horizon=0.5))
+        flow = simulate_heat(p3, X0, FlowSpec(horizon=0.5))
         s = energy_series(flow, topology=p3)
         np.testing.assert_array_equal(s.indices, flow.times)
-        assert s.source == "heat"
-
-    def test_layer_source_is_variant(self, p3):
-        cfg = ModelConfig(input_dim=2, output_dim=2, depth=1, hidden_dim=4, variant="pre_ln")
-        params = init_model(cfg)
-        traj = forward_trajectory(params, cfg, p3, np.ones((3, 2)))
-        s = energy_series(traj, topology=p3)
-        assert s.source == "pre_ln"
-        np.testing.assert_array_equal(s.indices, [0.0, 1.0])
 
     def test_unkept_state_is_named(self):
         rng = np.random.default_rng(3)

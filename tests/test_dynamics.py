@@ -39,24 +39,13 @@ def heat_expm_oracle(G, X0, t):
 
 class TestFlowSpec:
     def test_validation(self):
-        FlowSpec(kind="heat", horizon=1.0)
-        with pytest.raises(ValueError, match="unknown flow kind"):
-            FlowSpec(kind="diffusion", horizon=1.0)
+        FlowSpec(horizon=1.0)
         with pytest.raises(ValueError, match="horizon"):
-            FlowSpec(kind="heat", horizon=0.0)
+            FlowSpec(horizon=0.0)
         with pytest.raises(ValueError, match="dt"):
-            FlowSpec(kind="heat", horizon=1.0, dt=-0.1)
+            FlowSpec(horizon=1.0, dt=-0.1)
         with pytest.raises(ValueError, match="record_stride"):
-            FlowSpec(kind="heat", horizon=1.0, record_stride=0)
-
-    def test_kind_mismatch_rejected(self, p3):
-        X0 = np.array([1.0, 0.0, -1.0])
-        with pytest.raises(ValueError, match="expected 'heat'"):
-            simulate_heat(p3, X0, FlowSpec(kind="nonlocal", horizon=1.0))
-        with pytest.raises(ValueError, match="expected 'nonlocal'"):
-            simulate_nonlocal(p3, X0, FlowSpec(kind="heat", horizon=1.0))
-        with pytest.raises(ValueError, match="expected 'preln'"):
-            simulate_preln_flow(p3, X0, FlowSpec(kind="heat", horizon=1.0))
+            FlowSpec(horizon=1.0, record_stride=0)
 
 
 class TestLambdaMax:
@@ -88,7 +77,7 @@ class TestHeat:
         exact = heat_expm_oracle(p3, X0, 1.0)
         errs = []
         for dt in (0.05, 0.025):
-            spec = FlowSpec(kind="heat", horizon=1.0, dt=dt, record_stride=10**6)
+            spec = FlowSpec(horizon=1.0, dt=dt, record_stride=10**6)
             traj = simulate_heat(p3, X0, spec)
             final = heat_expm_oracle(p3, X0, traj.times[-1])
             errs.append(np.abs(traj.states[-1] - final).max())
@@ -110,27 +99,27 @@ class TestHeat:
 
     def test_constant_state_is_stationary(self, p3):
         X0 = np.full((3, 2), 4.5)
-        traj = simulate_heat(p3, X0, FlowSpec(kind="heat", horizon=2.0))
+        traj = simulate_heat(p3, X0, FlowSpec(horizon=2.0))
         for X in traj.states:
             np.testing.assert_array_equal(X, X0)
         assert traj.dirichlet.max() == 0.0
 
     def test_default_step_respects_safety(self, p3):
-        spec = FlowSpec(kind="heat", horizon=1.0)
+        spec = FlowSpec(horizon=1.0)
         traj = simulate_heat(p3, np.eye(3), spec)
         # default dt = 0.5 * 0.9 / lambda_max; horizon 1 then needs ceil(1/dt) steps
         dt = 0.5 * 0.9 / traj.lambda_max
         assert traj.times[1] == pytest.approx(dt)
 
     def test_unstable_step_rejected(self, p3):
-        spec = FlowSpec(kind="heat", horizon=1.0, dt=2.0)
+        spec = FlowSpec(horizon=1.0, dt=2.0)
         with pytest.raises(FlowInstabilityError, match="stability limit"):
             simulate_heat(p3, np.eye(3), spec)
 
     def test_energy_never_increases(self):
         G, _ = random_graph(np.random.default_rng(7), n=25)
         X0 = np.random.default_rng(8).normal(size=(25, 4))
-        traj = simulate_heat(G, X0, FlowSpec(kind="heat", horizon=3.0))
+        traj = simulate_heat(G, X0, FlowSpec(horizon=3.0))
         assert (np.diff(traj.dirichlet) <= 1e-12 * traj.dirichlet[0]).all()
 
     @settings(max_examples=25, deadline=None)
@@ -147,7 +136,7 @@ class TestHeat:
             return  # numerically disconnected; nothing to pinch
         dt = 0.3 / lam_max
         X0 = rng.normal(size=(n, 3))
-        traj = simulate_heat(G, X0, FlowSpec(kind="heat", horizon=2.0, dt=dt))
+        traj = simulate_heat(G, X0, FlowSpec(horizon=2.0, dt=dt))
         fast = -np.log1p(-dt * lam_max) / dt
         slow = -np.log1p(-dt * lam2) / dt
         E0 = traj.dirichlet[0]
@@ -161,7 +150,7 @@ class TestHeat:
         dt = 0.01 / lam_max
         rng = np.random.default_rng(5)
         X0 = rng.normal(size=(3, 2))
-        spec = FlowSpec(kind="heat", horizon=8.0, dt=dt, record_stride=50)
+        spec = FlowSpec(horizon=8.0, dt=dt, record_stride=50)
         traj = simulate_heat(p3, X0, spec)
         tail = traj.times > 4.0
         slope = np.polyfit(traj.times[tail], np.log(traj.dirichlet[tail]), 1)[0]
@@ -169,14 +158,13 @@ class TestHeat:
 
     def test_relative_rate_midpoints(self, p3):
         X0 = np.array([1.0, 0.0, -1.0])
-        traj = simulate_heat(p3, X0, FlowSpec(kind="heat", horizon=1.0))
+        traj = simulate_heat(p3, X0, FlowSpec(horizon=1.0))
         mid, rate = relative_rate(traj)
         assert mid.shape == rate.shape == (traj.times.size - 1,)
         assert (rate < 0).all()
 
     def test_relative_rate_needs_two_records(self):
         traj = FlowTrajectory(
-            kind="heat",
             times=np.array([0.0]),
             states=(np.zeros((1, 1)),),
             dirichlet=np.array([0.0]),
@@ -189,7 +177,7 @@ class TestHeat:
             relative_rate(traj)
 
     def test_bad_initial_state(self, p3):
-        spec = FlowSpec(kind="heat", horizon=1.0)
+        spec = FlowSpec(horizon=1.0)
         with pytest.raises(ValueError, match="does not match n=3"):
             simulate_heat(p3, np.zeros((4, 2)), spec)
         with pytest.raises(ValueError, match="non-finite"):
@@ -201,7 +189,7 @@ class TestNonlocal:
         rng = np.random.default_rng(2)
         X0 = rng.normal(size=(3, 2))
         dt = 0.1
-        spec = FlowSpec(kind="nonlocal", horizon=50.0, dt=dt)
+        spec = FlowSpec(horizon=50.0, dt=dt)
         traj = simulate_nonlocal(p3, X0, spec)
         for k in range(len(traj.states) - 1):
             X = traj.states[k]
@@ -218,14 +206,14 @@ class TestNonlocal:
     def test_gate_series_matches_order_two_energy(self, p3):
         rng = np.random.default_rng(3)
         traj = simulate_nonlocal(
-            p3, rng.normal(size=(3, 2)), FlowSpec(kind="nonlocal", horizon=10.0)
+            p3, rng.normal(size=(3, 2)), FlowSpec(horizon=10.0)
         )
         np.testing.assert_allclose(traj.gate, traj.laplacian * p3.n, rtol=1e-12)
 
     def test_long_horizon_needs_few_steps(self, p3):
         rng = np.random.default_rng(4)
         X0 = rng.normal(size=(3, 2))
-        spec = FlowSpec(kind="nonlocal", horizon=1e8, dt=0.1)
+        spec = FlowSpec(horizon=1e8, dt=0.1)
         traj = simulate_nonlocal(p3, X0, spec)
         assert traj.times[-1] >= 1e8
         # the gate decays exponentially in step count, so horizon grows
@@ -236,7 +224,7 @@ class TestNonlocal:
         # t * E(t) settles near a constant once the slowest mode dominates
         rng = np.random.default_rng(6)
         X0 = rng.normal(size=(3, 2))
-        spec = FlowSpec(kind="nonlocal", horizon=1e7, dt=0.05)
+        spec = FlowSpec(horizon=1e7, dt=0.05)
         traj = simulate_nonlocal(p3, X0, spec)
         tail = traj.times > 1e4
         product = traj.times[tail] * traj.dirichlet[tail]
@@ -245,7 +233,7 @@ class TestNonlocal:
     def test_rk4_cross_check(self, p3):
         rng = np.random.default_rng(9)
         X0 = rng.normal(size=(3, 2))
-        spec = FlowSpec(kind="nonlocal", horizon=0.5, dt=1e-4, record_stride=10**6)
+        spec = FlowSpec(horizon=0.5, dt=1e-4, record_stride=10**6)
         traj = simulate_nonlocal(p3, X0, spec)
         t_end = traj.times[-1]
 
@@ -258,7 +246,7 @@ class TestNonlocal:
 
     def test_constant_state_jumps_to_horizon(self, p3):
         X0 = np.full((3, 2), 2.0)
-        traj = simulate_nonlocal(p3, X0, FlowSpec(kind="nonlocal", horizon=5.0))
+        traj = simulate_nonlocal(p3, X0, FlowSpec(horizon=5.0))
         assert traj.times[-1] == 5.0
         np.testing.assert_array_equal(traj.states[-1], X0)
 
@@ -267,14 +255,14 @@ class TestPrelnFlow:
     def test_norm_mass_pinned_to_vertex_count(self):
         G, _ = random_graph(np.random.default_rng(11), n=20, admissible=True)
         X0 = np.random.default_rng(12).normal(size=(20, 5))
-        traj = simulate_preln_flow(G, X0, FlowSpec(kind="preln", horizon=3.0))
+        traj = simulate_preln_flow(G, X0, FlowSpec(horizon=3.0))
         assert traj.norm_mass is not None
         np.testing.assert_allclose(traj.norm_mass, G.n, atol=1e-10)
 
     def test_energy_grows(self):
         G, _ = random_graph(np.random.default_rng(13), n=20, admissible=True)
         X0 = np.random.default_rng(14).normal(size=(20, 5))
-        traj = simulate_preln_flow(G, X0, FlowSpec(kind="preln", horizon=20.0))
+        traj = simulate_preln_flow(G, X0, FlowSpec(horizon=20.0))
         assert traj.dirichlet[-1] > traj.dirichlet[0]
         assert np.isfinite(traj.states[-1]).all()
 
@@ -282,7 +270,7 @@ class TestPrelnFlow:
         G, _ = random_graph(np.random.default_rng(15), n=8, admissible=True)
         rng = np.random.default_rng(16)
         X0 = rng.normal(size=(8, 3))
-        spec = FlowSpec(kind="preln", horizon=1.0, dt=1e-3, record_stride=10**6)
+        spec = FlowSpec(horizon=1.0, dt=1e-3, record_stride=10**6)
         traj = simulate_preln_flow(G, X0, spec)
         radius = np.sqrt(G.n / float(G.measure.sum()))
 
@@ -299,13 +287,13 @@ class TestPrelnFlow:
         G = build_weighted_graph([(0, 1, 1.0)], measure=[1.0, 1.0])
         with pytest.raises(ValueError, match="incident weights"):
             simulate_preln_flow(
-                G, np.ones((2, 2)), FlowSpec(kind="preln", horizon=1.0)
+                G, np.ones((2, 2)), FlowSpec(horizon=1.0)
             )
 
     def test_zero_row_rejected(self, p3):
         X0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(FlowInstabilityError, match="sphere projection"):
-            simulate_preln_flow(p3, X0, FlowSpec(kind="preln", horizon=1.0))
+            simulate_preln_flow(p3, X0, FlowSpec(horizon=1.0))
 
 
 class TestRecordedSeries:
@@ -335,9 +323,9 @@ class TestRecordedSeries:
             "nonlocal": simulate_nonlocal,
             "preln": simulate_preln_flow,
         }[kind]
-        every = simulate(G, X0, FlowSpec(kind=kind, horizon=horizon, dt=dt))
+        every = simulate(G, X0, FlowSpec(horizon=horizon, dt=dt))
         strided = simulate(
-            G, X0, FlowSpec(kind=kind, horizon=horizon, dt=dt, record_stride=3)
+            G, X0, FlowSpec(horizon=horizon, dt=dt, record_stride=3)
         )
         steps = every.times.size - 1
         assert steps % 3 != 0  # the final record falls mid-stride
@@ -349,7 +337,7 @@ class TestRecordedSeries:
     def test_gated_constant_state_jump(self):
         G, edges = random_graph(np.random.default_rng(23), n=7)
         traj = simulate_nonlocal(
-            G, np.full((7, 2), -1.5), FlowSpec(kind="nonlocal", horizon=3.0)
+            G, np.full((7, 2), -1.5), FlowSpec(horizon=3.0)
         )
         assert traj.times.tolist() == [0.0, 3.0]
         self._check_against_oracle(G, edges, traj)
@@ -362,10 +350,6 @@ def test_overflowing_state_fails_loudly(p3):
     for m in range(4):
         with pytest.raises(ValueError, match=f"order-{m}"):
             derivative_energy(p3, huge, m)
-    for kind, simulate in (
-        ("heat", simulate_heat),
-        ("nonlocal", simulate_nonlocal),
-        ("preln", simulate_preln_flow),
-    ):
+    for simulate in (simulate_heat, simulate_nonlocal, simulate_preln_flow):
         with pytest.raises(ValueError, match="finite"):
-            simulate(p3, huge, FlowSpec(kind=kind, horizon=1.0))
+            simulate(p3, huge, FlowSpec(horizon=1.0))

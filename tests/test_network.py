@@ -190,7 +190,6 @@ class TestForward:
         assert len(traj.multipliers) == 4
         assert traj.states[0].shape == (9, 8)
         assert traj.decoder_output.shape == (9, 2)
-        assert traj.depth == 4
 
     def test_depth_zero(self):
         rng = np.random.default_rng(15)
