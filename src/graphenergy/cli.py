@@ -33,7 +33,6 @@ from graphenergy.diagnostics import (
     FitReport,
     StallVerdict,
     cosine_similarity_matrix,
-    energy_series,
     fit_decay,
     prune_scan,
     relative_change_series,
@@ -721,21 +720,35 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    if args.energy_order < 0:
-        raise SystemExit(
-            f"bad flow arguments: energy order must be nonnegative, "
-            f"got {args.energy_order}"
-        )
+    try:
+        if args.energy_order < 0:
+            raise ValueError(
+                f"energy order must be nonnegative, got {args.energy_order}"
+            )
+        spec = FlowSpec(horizon=args.horizon, dt=args.dt, record_stride=args.stride)
+    except ValueError as exc:
+        raise SystemExit(f"bad flow arguments: {exc}") from None
     G, label = _resolve_graph(args)
     X0 = random_features(G.n, args.d, seed=args.feature_seed, scale=args.feature_scale)
-    spec = FlowSpec(horizon=args.horizon, dt=args.dt, record_stride=args.stride)
     simulate = {
         FLOW_HEAT: simulate_heat,
         FLOW_GATED: simulate_nonlocal,
         FLOW_NORMALIZED: simulate_preln_flow,
     }[args.flow]
-    trajectory = simulate(G, X0, spec)
-    series = energy_series(trajectory, args.energy_order, topology=G)
+    # Each record is measured as the flow produces it, and no state is
+    # kept. On a graph that is already canonical the order-1 energy is the
+    # trajectory's own Dirichlet series, so it is not measured twice.
+    canonical = canonical_energy_graph(G)
+    energies = []
+    observe = None
+    if canonical is not G or args.energy_order != 1:
+        def observe(t, X):
+            energies.append(derivative_energy(canonical, X, args.energy_order))
+    trajectory = simulate(G, X0, spec, keep=(), observe=observe)
+    series = EnergySeries(
+        indices=trajectory.times,
+        values=trajectory.dirichlet if observe is None else np.array(energies),
+    )
 
     meta = {
         "graph": label,

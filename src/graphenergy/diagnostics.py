@@ -1,11 +1,11 @@
 """Measurement helpers for layer stacks and flows.
 
 Everything here consumes recorded trajectories and produces plot-ready
-series: smoothness energies per layer or per time stamp, relative energy
-increments with a stall verdict, pairwise cosine similarity between
-states (through their unit-row forms, which a caller can keep in place
-of the states), least-squares decay-law fits, and the representation
-cost of skipping a single layer.
+series: smoothness energies per layer, relative energy increments with a
+stall verdict, pairwise cosine similarity between states (through their
+unit-row forms, which a caller can keep in place of the states),
+least-squares decay-law fits, and the representation cost of skipping a
+single layer.
 
 Energies are always measured on the canonical unit-weight graph
 (``canonical_energy_graph``), whatever weights the trajectory itself ran
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphenergy.dynamics import FlowTrajectory
 from graphenergy.graph import (
     WeightedGraph,
     canonical_energy_graph,
@@ -140,26 +139,22 @@ class PruneReport:
 
 
 def energy_series(trajectory, order: int = 2, *, topology: WeightedGraph) -> EnergySeries:
-    """Measure every recorded state of a trajectory on the canonical
-    unit-weight graph built over ``topology``.
+    """Measure every state of a layer trajectory on the canonical
+    unit-weight graph built over ``topology``; indices are layer numbers.
 
-    Accepts either a layer trajectory (indices are layer numbers) or a
-    flow trajectory (indices are time stamps).
+    Flows measure their records as they produce them (see the ``observe``
+    argument of the ``simulate_*`` functions) and keep no states to pass
+    here.
     """
-    canonical = canonical_energy_graph(topology)
-    if isinstance(trajectory, LayerTrajectory):
-        states = trajectory.states
-        unkept = [k for k, X in enumerate(states) if X is None]
-        if unkept:
-            raise ValueError(f"the trajectory did not keep state {unkept[0]}")
-        indices = np.arange(len(states), dtype=float)
-    elif isinstance(trajectory, FlowTrajectory):
-        states = trajectory.states
-        indices = np.asarray(trajectory.times, dtype=float)
-    else:
+    if not isinstance(trajectory, LayerTrajectory):
         raise TypeError(f"unsupported trajectory type {type(trajectory).__name__}")
+    states = trajectory.states
+    unkept = [k for k, X in enumerate(states) if X is None]
+    if unkept:
+        raise ValueError(f"the trajectory did not keep state {unkept[0]}")
+    canonical = canonical_energy_graph(topology)
     values = np.array([derivative_energy(canonical, X, order) for X in states])
-    return EnergySeries(indices=indices, values=values)
+    return EnergySeries(indices=np.arange(len(states), dtype=float), values=values)
 
 
 def relative_change_series(

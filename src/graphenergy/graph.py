@@ -309,10 +309,14 @@ def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
     with unit weights and measure ``degree + 1``.
 
     All cross-variant energy comparisons happen on this graph so that
-    attention-induced weights never leak into the measurement.
+    attention-induced weights never leak into the measurement. A graph
+    that already has these weights and this measure is returned itself,
+    with its cached views.
     """
-    weights = np.ones_like(G.weights)
     measure = np.asarray(G.degrees, dtype=float) + 1.0
+    if np.all(G.weights == 1.0) and np.array_equal(G.measure, measure):
+        return G
+    weights = np.ones_like(G.weights)
     return WeightedGraph(
         n=G.n,
         indptr=G.indptr,

@@ -9,9 +9,12 @@ import graphenergy.cli as cli
 from graphenergy.attention import AttentionKind
 from graphenergy.cli import SweepSpec, main, run_sweep, surrogate_spec
 from graphenergy.diagnostics import energy_series, fit_decay, relative_change_series
+from graphenergy.dynamics import FlowSpec, simulate_heat
+from graphenergy.graph import canonical_energy_graph, derivative_energy
 from graphenergy.ingest import (
     SyntheticSpec,
     generate_graph,
+    load_edge_list,
     random_features,
     write_matrix,
 )
@@ -28,6 +31,12 @@ def read_file_map(root):
             with open(path, "rb") as fh:
                 out[os.path.relpath(path, root)] = fh.read()
     return out
+
+
+def csv_columns(path):
+    """Header names and data rows of a CSV the CLI wrote, as text."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
 @pytest.fixture
@@ -412,6 +421,72 @@ class TestFlow:
         assert report["fit"]["classification"] == "growth"
         assert report["norm_mass_max_deviation"] < 1e-10
         assert np.isfinite(report["sqrt_energy_slope"])
+
+    def test_energy_times_are_trajectory_times(self, p3_file, tmp_path):
+        out = tmp_path / "flow"
+        rc = main(
+            [
+                "flow", "--edges", p3_file, "--flow", "heat",
+                "--horizon", "2", "--stride", "3", "--d", "2", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        names, energy = csv_columns(out / "energy.csv")
+        assert names == ["time", "energy"]
+        names, traj = csv_columns(out / "trajectory.csv")
+        assert names[:2] == ["time", "dirichlet"]
+        assert len(energy) == len(traj) > 2
+        assert [row[0] for row in energy] == [row[0] for row in traj]
+        # the unit-weight path is its own canonical graph, so the order-1
+        # energy is the trajectory's Dirichlet series, byte for byte
+        assert [row[1] for row in energy] == [row[1] for row in traj]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_weighted_graph_energy_on_canonical_graph(self, tmp_path, order):
+        edges = tmp_path / "weighted.txt"
+        edges.write_text("0 1 0.5\n1 2 2.0\n2 3 1.5\n")
+        out = tmp_path / "flow"
+        rc = main(
+            [
+                "flow", "--edges", str(edges), "--flow", "heat",
+                "--horizon", "2", "--stride", "3", "--d", "2",
+                "--feature-seed", "3", "--energy-order", str(order),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        G = load_edge_list(str(edges))
+        canonical = canonical_energy_graph(G)
+        assert canonical is not G
+        traj = simulate_heat(
+            G, random_features(G.n, 2, seed=3), FlowSpec(horizon=2.0, record_stride=3)
+        )
+        expected = [repr(derivative_energy(canonical, X, order)) for X in traj.states]
+        _, energy = csv_columns(out / "energy.csv")
+        assert [row[1] for row in energy] == expected
+        _, rows = csv_columns(out / "trajectory.csv")
+        assert [row[1] for row in rows] != [row[1] for row in energy]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--horizon", "0", "horizon must be positive"),
+            ("--dt", "-0.5", "dt must be positive"),
+            ("--stride", "0", "record_stride must be at least 1"),
+        ],
+    )
+    def test_bad_flow_argument_fails_before_building_graph(
+        self, p3_file, tmp_path, monkeypatch, flag, value, message
+    ):
+        def no_graph(args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
+        out = tmp_path / "flow"
+        argv = ["flow", "--edges", p3_file, "--flow", "heat", "--horizon", "1"]
+        with pytest.raises(SystemExit, match=f"bad flow arguments: {message}"):
+            main(argv + [flag, value, "--out", str(out)])
+        assert not out.exists()
 
     def test_negative_energy_order_fails_before_running(self, p3_file, tmp_path):
         out = tmp_path / "flow"

@@ -16,7 +16,6 @@ from graphenergy.diagnostics import (
     unit_row_gram,
     unit_rows,
 )
-from graphenergy.dynamics import FlowSpec, simulate_heat
 from graphenergy.graph import build_weighted_graph
 from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
 from graphenergy.attention import AttentionKind
@@ -88,12 +87,6 @@ class TestEnergySeries:
         traj = layer_trajectory([ramp])
         s = energy_series(traj, 2, topology=heavy)
         np.testing.assert_allclose(s.values, [1 / 3], atol=1e-15)
-
-    def test_flow_trajectory_indices_are_times(self, p3):
-        X0 = np.array([1.0, 0.0, -1.0])
-        flow = simulate_heat(p3, X0, FlowSpec(horizon=0.5))
-        s = energy_series(flow, topology=p3)
-        np.testing.assert_array_equal(s.indices, flow.times)
 
     def test_unkept_state_is_named(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphenergy.dynamics import (
+    LANCZOS_MAXITER,
     FlowInstabilityError,
     FlowSpec,
     FlowTrajectory,
@@ -20,14 +23,18 @@ from graphenergy.graph import (
     integrate,
     laplacian_apply,
 )
+from graphenergy.ingest import SyntheticSpec, generate_graph
 
 from conftest import (
+    STATE_TEMPORARIES,
     dense_laplacian,
     dense_spectrum,
     energy_oracle,
+    nbytes,
     random_graph,
     relative_rate,
     rk4_reference,
+    traced_peak,
 )
 
 
@@ -68,6 +75,21 @@ class TestLambdaMax:
         assert estimate_lambda_max(G) == first
         exact = dense_spectrum(G, max_nodes=G.n)[-1]
         assert first == pytest.approx(exact, rel=1e-10)
+
+    def test_unconverged_run_falls_back_to_gershgorin(self, capsys):
+        # A ring's top eigenvalues cluster, so Lanczos needs ~230 restarts
+        # at 1,000 nodes, and uncapped it ran for over 9 minutes at 2·10⁴.
+        # The cap stops it; on an even ring the Gershgorin bound
+        # 2 max_i (sum_j w_ij) / mu_i = 2 · 2/3 is the exact top eigenvalue.
+        ring = generate_graph(SyntheticSpec(kind="ring", size=20_000))
+        start = time.perf_counter()
+        lam = estimate_lambda_max(ring)
+        elapsed = time.perf_counter() - start
+        assert lam == 4.0 / 3.0
+        err = capsys.readouterr().err
+        assert f"did not converge in {LANCZOS_MAXITER} iterations" in err
+        assert "Gershgorin bound" in err
+        assert elapsed < 20.0  # 1.4 s on an idle 2-core host
 
 
 class TestHeat:
@@ -249,6 +271,57 @@ class TestNonlocal:
         traj = simulate_nonlocal(p3, X0, FlowSpec(horizon=5.0))
         assert traj.times[-1] == 5.0
         np.testing.assert_array_equal(traj.states[-1], X0)
+
+
+class TestStream:
+    """``observe`` sees every record as it is produced and ``keep`` picks
+    the states the trajectory holds, with the recorded series unchanged."""
+
+    @pytest.mark.parametrize(
+        "simulate, horizon",
+        [(simulate_heat, 1.0), (simulate_nonlocal, 40.0), (simulate_preln_flow, 2.0)],
+    )
+    def test_observe_and_keep(self, simulate, horizon):
+        G, _ = random_graph(np.random.default_rng(31), n=9, admissible=True)
+        X0 = np.random.default_rng(32).normal(size=(9, 2))
+        spec = FlowSpec(horizon=horizon, dt=0.1, record_stride=3)
+        full = simulate(G, X0, spec)
+        last = full.times.size - 1
+        seen = []
+        part = simulate(
+            G, X0, spec, keep={0, last},
+            observe=lambda t, X: seen.append((t, X.copy())),
+        )
+        none = simulate(G, X0, spec, keep=())
+        assert [t for t, _ in seen] == full.times.tolist()
+        for (_, X), kept in zip(seen, full.states):
+            np.testing.assert_array_equal(X, kept)
+        assert part.states[1:-1] == (None,) * (last - 1)
+        np.testing.assert_array_equal(part.states[0], full.states[0])
+        np.testing.assert_array_equal(part.states[-1], full.states[-1])
+        assert none.states == (None,) * full.times.size
+        for traj in (part, none):
+            for name in ("times", "dirichlet", "laplacian", "gate"):
+                np.testing.assert_array_equal(getattr(traj, name), getattr(full, name))
+
+    def test_large_gated_flow_holds_no_records(self):
+        # A gated flow on a 10⁵-node ring at d = 4 records 205 states. Kept,
+        # they would hold 205 states (one state is 3.2 MB). Streamed, the
+        # peak is one Euler step's temporaries, bounded by
+        # STATE_TEMPORARIES states, or the Lanczos run that picks the step
+        # before the first one: its 20-vector basis, ARPACK's work arrays
+        # and the operator come to ~52 vectors of n floats (13 states at
+        # d = 4). Neither grows with the record count.
+        n, d = 100_000, 4
+        ring = generate_graph(SyntheticSpec(kind="ring", size=n))
+        X0 = np.random.default_rng(33).normal(size=(n, d))
+        state = nbytes(X0)
+        traj, peak = traced_peak(
+            lambda: simulate_nonlocal(ring, X0, FlowSpec(horizon=10.0), keep=())
+        )
+        assert traj.times.size > 200
+        assert peak < STATE_TEMPORARIES * state + 64 * n * 8  # 89.6 MB
+        assert traj.dirichlet[-1] < traj.dirichlet[0]
 
 
 class TestPrelnFlow:

@@ -393,6 +393,13 @@ class TestCanonicalGraph:
         assert_allclose(CC.measure, C.measure)
         assert np.array_equal(CC.indices, C.indices)
 
+    def test_canonical_graph_is_returned_itself(self, p3):
+        assert canonical_energy_graph(p3) is p3
+        heavier = build_weighted_graph(P3_EDGES, measure=[2.0, 3.0, 2.5])
+        C = canonical_energy_graph(heavier)
+        assert C is not heavier
+        assert_allclose(C.measure, [2.0, 3.0, 2.0])
+
 
 class TestDenseSpectrum:
     def test_p3_values(self, p3):
