@@ -735,16 +735,16 @@ def cmd_flow(args) -> int:
         FLOW_GATED: simulate_nonlocal,
         FLOW_NORMALIZED: simulate_preln_flow,
     }[args.flow]
-    # Each record is measured as the flow produces it, and no state is
-    # kept. On a graph that is already canonical the order-1 energy is the
-    # trajectory's own Dirichlet series, so it is not measured twice.
+    # Each record is measured as the flow produces it. On a graph that is
+    # already canonical the order-1 energy is the trajectory's own
+    # Dirichlet series, so it is not measured twice.
     canonical = canonical_energy_graph(G)
     energies = []
     observe = None
     if canonical is not G or args.energy_order != 1:
         def observe(t, X):
             energies.append(derivative_energy(canonical, X, args.energy_order))
-    trajectory = simulate(G, X0, spec, keep=(), observe=observe)
+    trajectory = simulate(G, X0, spec, observe=observe)
     series = EnergySeries(
         indices=trajectory.times,
         values=trajectory.dirichlet if observe is None else np.array(energies),

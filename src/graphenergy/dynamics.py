@@ -22,17 +22,17 @@ Euler steps, and a recorded state's gate ``∫ |Delta X|^2 dmu`` and order-2
 energy ``gate / n`` reuse it; only the order-1 energy takes its own edge
 pass. The normalized flow forms ``Delta X`` once per record.
 
-A flow is a stream of records, measured as each one is produced:
-``observe(t, X)`` sees every recorded state, and ``keep`` names the records
-whose states the trajectory holds (default all), as in
-:func:`graphenergy.network.forward_trajectory`. With ``keep=()`` a flow's
-memory does not grow with the number of records.
+A flow is a stream of records, measured as each one is produced, as in
+:func:`graphenergy.network.forward_trajectory`: ``observe(t, X)`` sees
+every recorded state, and the trajectory holds only the records' times and
+scalar series, never a state, so a flow's memory does not grow with the
+number of records.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Container
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +88,15 @@ class FlowSpec:
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """Recorded times, states, and scalar series of one flow run.
+    """Recorded times and scalar series of one flow run.
 
-    ``states[k]`` is None where the run did not keep record k (see the
-    ``keep`` argument of the ``simulate_*`` functions). ``dirichlet`` and
-    ``laplacian`` are the order-1 and order-2 energies on the flow's own
-    graph; ``gate`` is ``∫ |Delta X|^2 dmu``; ``norm_mass`` is
-    ``∫ |Norm X|^2 dmu`` and stays None outside the normalized flow.
+    ``dirichlet`` and ``laplacian`` are the order-1 and order-2 energies
+    on the flow's own graph; ``gate`` is ``∫ |Delta X|^2 dmu``;
+    ``norm_mass`` is ``∫ |Norm X|^2 dmu`` and stays None outside the
+    normalized flow.
     """
 
     times: np.ndarray
-    states: tuple[np.ndarray | None, ...]
     dirichlet: np.ndarray
     laplacian: np.ndarray
     gate: np.ndarray
@@ -114,7 +112,8 @@ def estimate_lambda_max(G: WeightedGraph) -> float:
     calls agree bitwise. A run that has not converged after
     ``LANCZOS_MAXITER`` iterations returns the Gershgorin bound
     ``2 max_i (sum_j w_ij) / mu_i`` instead, which no eigenvalue exceeds,
-    and says so on stderr.
+    and says so on stderr. Where that bound is loose, the default step
+    shrinks with it and a set ``dt`` below the true limit can be refused.
     """
     if G.indices.size == 0:
         return 0.0
@@ -128,7 +127,7 @@ def estimate_lambda_max(G: WeightedGraph) -> float:
             return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackNoConvergence:
-        bound = 2.0 * float(np.max(G.weight_row_sums / G.measure))
+        bound = _gershgorin_bound(G)
         print(
             f"lambda_max: Lanczos did not converge in {LANCZOS_MAXITER} "
             f"iterations on {G.n} nodes; using the Gershgorin bound {bound:.17g}",
@@ -138,26 +137,33 @@ def estimate_lambda_max(G: WeightedGraph) -> float:
     return float(lam[0])
 
 
+def _gershgorin_bound(G: WeightedGraph) -> float:
+    """``2 max_i (sum_j w_ij) / mu_i``, which no eigenvalue of ``-Delta``
+    exceeds. Exact on a regular bipartite graph; on other graphs it can sit
+    well above ``lambda_max`` (8/5 against 5/4 on a path with
+    second-neighbour edges)."""
+    return 2.0 * float(np.max(G.weight_row_sums / G.measure))
+
+
 def simulate_heat(
     G: WeightedGraph,
     X0: np.ndarray,
     spec: FlowSpec,
     *,
-    keep: Container[int] | None = None,
     observe: Callable[[float, np.ndarray], None] | None = None,
 ) -> FlowTrajectory:
     """Explicit Euler for the diffusion flow.
 
     Requires ``dt <= SAFETY / lambda_max``. The recorded Dirichlet series
     is checked to be non-increasing; an increase beyond roundoff raises
-    :class:`FlowInstabilityError` advising a smaller step. ``keep`` and
-    ``observe`` work as the module docstring describes.
+    :class:`FlowInstabilityError` advising a smaller step. ``observe``
+    works as the module docstring describes.
     """
     X, _ = _as_features(G, X0)
     lam_max, dt = _resolve_step(G, spec)
 
     steps = int(np.ceil(spec.horizon / dt))
-    records = _Records(G, keep, observe)
+    records = _Records(G, observe)
     LX = laplacian_apply(G, X)
     records.add(0.0, X, _gate(G, LX))
     t = 0.0
@@ -177,7 +183,6 @@ def simulate_nonlocal(
     X0: np.ndarray,
     spec: FlowSpec,
     *,
-    keep: Container[int] | None = None,
     observe: Callable[[float, np.ndarray], None] | None = None,
 ) -> FlowTrajectory:
     """Explicit Euler for the gated diffusion flow.
@@ -185,15 +190,14 @@ def simulate_nonlocal(
     ``spec.dt`` is the effective step (gate folded in); real time advances
     by ``dt / gate``, so step sizes stretch as the gate starves. A gate at
     zero means the state is stationary; the run then jumps straight to the
-    horizon. ``keep`` and ``observe`` work as the module docstring
-    describes.
+    horizon. ``observe`` works as the module docstring describes.
     """
     X, _ = _as_features(G, X0)
     lam_max, dt_eff = _resolve_step(G, spec)
 
     LX = laplacian_apply(G, X)
     gate = _gate(G, LX)
-    records = _Records(G, keep, observe)
+    records = _Records(G, observe)
     records.add(0.0, X, gate)
     t, k = 0.0, 0
     while t < spec.horizon:
@@ -217,7 +221,6 @@ def simulate_preln_flow(
     X0: np.ndarray,
     spec: FlowSpec,
     *,
-    keep: Container[int] | None = None,
     observe: Callable[[float, np.ndarray], None] | None = None,
 ) -> FlowTrajectory:
     """Explicit Euler for the normalized aggregation flow.
@@ -225,7 +228,7 @@ def simulate_preln_flow(
     Needs an aggregation-admissible graph (spectrum inside [0, 2], which
     is asserted) and rows that never vanish, since every row is projected
     to the sphere of radius ``sqrt(n / ∫ 1 dmu)`` before aggregating.
-    ``keep`` and ``observe`` work as the module docstring describes.
+    ``observe`` works as the module docstring describes.
     """
     if not G.aggregation_admissible:
         raise ValueError(
@@ -243,7 +246,7 @@ def simulate_preln_flow(
 
     radius = np.sqrt(G.n / float(G.measure.sum()))
     steps = int(np.ceil(spec.horizon / dt))
-    records = _Records(G, keep, observe)
+    records = _Records(G, observe)
     records.add(0.0, X, _gate(G, laplacian_apply(G, X)))
     masses = [_norm_mass(G, X, radius)]
     t = 0.0
@@ -287,33 +290,38 @@ def _resolve_step(G: WeightedGraph, spec: FlowSpec) -> tuple[float, float]:
     limit = SAFETY / lam_max
     dt = spec.dt if spec.dt is not None else 0.5 * limit
     if dt > limit * (1 + 1e-12):
+        note = ""
+        if lam_max == _gershgorin_bound(G):
+            note = (
+                f"; lambda_max = {lam_max:g} is the Gershgorin upper bound, "
+                "which stands in when Lanczos does not converge, so the "
+                "true limit may be larger"
+            )
         raise FlowInstabilityError(
-            f"step {dt:g} exceeds the stability limit SAFETY/lambda_max = {limit:g}"
+            f"step {dt:g} exceeds the stability limit SAFETY/lambda_max = "
+            f"{limit:g}{note}"
         )
     return lam_max, dt
 
 
 class _Records:
     """One flow's records, each measured as it is added: its time, gate
-    and order-1 energy are stored, and its state only where ``keep``
-    names it."""
+    and order-1 energy are stored, and its state is not."""
 
-    def __init__(self, G, keep, observe):
-        self.G, self.keep, self.observe, self.rows = G, keep, observe, []
+    def __init__(self, G, observe):
+        self.G, self.observe, self.rows = G, observe, []
 
     def add(self, t: float, X: np.ndarray, gate: float) -> None:
         dirichlet = derivative_energy(self.G, X, 1)
         if self.observe is not None:
             self.observe(t, X)
-        kept = self.keep is None or len(self.rows) in self.keep
-        self.rows.append((t, X.copy() if kept else None, dirichlet, gate))
+        self.rows.append((t, dirichlet, gate))
 
     def trajectory(self, lam_max, masses=None) -> FlowTrajectory:
-        times, states, dirichlet, gates = zip(*self.rows)
+        times, dirichlet, gates = zip(*self.rows)
         gate = np.array(gates)
         return FlowTrajectory(
             times=np.array(times),
-            states=states,
             dirichlet=np.array(dirichlet),
             laplacian=gate / self.G.n,  # order-2 energy = ∫|ΔX|² dμ / n
             gate=gate,

@@ -181,6 +181,14 @@ def rk4_reference(G, X0, rhs, dt: float, horizon: float):
     return np.asarray(times), states
 
 
+def collect(simulate, G, X0, spec):
+    """Run a flow; return its trajectory and a copy of every recorded
+    state, gathered through ``observe``."""
+    states = []
+    traj = simulate(G, X0, spec, observe=lambda t, X: states.append(X.copy()))
+    return traj, states
+
+
 # Bound on one layer's and one energy's temporaries, in n x d float64
 # states: the FFN's n x 2d hidden layer before and after the rectifier is
 # four states on its own. On a 3,000-node ring at d = 16 and depth 64 the

@@ -20,7 +20,7 @@ from graphenergy.ingest import (
 )
 from graphenergy.network import ModelConfig, forward_trajectory, init_model
 
-from conftest import STATE_TEMPORARIES, nbytes, traced_peak
+from conftest import STATE_TEMPORARIES, collect, nbytes, traced_peak
 
 
 def read_file_map(root):
@@ -458,10 +458,11 @@ class TestFlow:
         G = load_edge_list(str(edges))
         canonical = canonical_energy_graph(G)
         assert canonical is not G
-        traj = simulate_heat(
-            G, random_features(G.n, 2, seed=3), FlowSpec(horizon=2.0, record_stride=3)
+        _, states = collect(
+            simulate_heat, G, random_features(G.n, 2, seed=3),
+            FlowSpec(horizon=2.0, record_stride=3),
         )
-        expected = [repr(derivative_energy(canonical, X, order)) for X in traj.states]
+        expected = [repr(derivative_energy(canonical, X, order)) for X in states]
         _, energy = csv_columns(out / "energy.csv")
         assert [row[1] for row in energy] == expected
         _, rows = csv_columns(out / "trajectory.csv")

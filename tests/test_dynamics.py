@@ -27,6 +27,7 @@ from graphenergy.ingest import SyntheticSpec, generate_graph
 
 from conftest import (
     STATE_TEMPORARIES,
+    collect,
     dense_laplacian,
     dense_spectrum,
     energy_oracle,
@@ -91,6 +92,30 @@ class TestLambdaMax:
         assert "Gershgorin bound" in err
         assert elapsed < 20.0  # 1.4 s on an idle 2-core host
 
+    def test_fallback_bound_is_loose_off_bipartite_regular_graphs(self, p3, capsys):
+        # A path with second-neighbour edges is irregular at its ends, its
+        # top spectrum clusters like a ring's and Lanczos stops unconverged.
+        # Its lambda_max is 5/4 (from cos θ = -1/4 in the interior), while
+        # the bound is 2 · 4/5 = 8/5. So the default step is 25/32 of what
+        # the true value allows, and a step legal for the true value is
+        # refused, with the refusal naming the bound.
+        n = 1000
+        edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+        edges += [(i, i + 2, 1.0) for i in range(n - 2)]
+        band = build_weighted_graph(edges, n=n)
+        exact = dense_spectrum(band, max_nodes=n)[-1]
+        assert exact == pytest.approx(1.25, abs=1e-4)
+        assert estimate_lambda_max(band) == 2.0 * (4.0 / 5.0)
+        assert "Gershgorin bound" in capsys.readouterr().err
+        X0 = np.random.default_rng(34).normal(size=(n, 2))
+        dt = 0.65  # within SAFETY / exact = 0.72, beyond SAFETY / 1.6 = 0.5625
+        with pytest.raises(FlowInstabilityError, match="Gershgorin upper bound"):
+            simulate_heat(band, X0, FlowSpec(horizon=1.0, dt=dt))
+        # a converged lambda_max leaves the message as it was
+        with pytest.raises(FlowInstabilityError) as refused:
+            simulate_heat(p3, np.eye(3), FlowSpec(horizon=1.0, dt=1.0))
+        assert "Gershgorin" not in str(refused.value)
+
 
 class TestHeat:
     def test_euler_converges_to_matrix_exponential(self, p3):
@@ -100,9 +125,9 @@ class TestHeat:
         errs = []
         for dt in (0.05, 0.025):
             spec = FlowSpec(horizon=1.0, dt=dt, record_stride=10**6)
-            traj = simulate_heat(p3, X0, spec)
+            traj, states = collect(simulate_heat, p3, X0, spec)
             final = heat_expm_oracle(p3, X0, traj.times[-1])
-            errs.append(np.abs(traj.states[-1] - final).max())
+            errs.append(np.abs(states[-1] - final).max())
         assert errs[1] < errs[0]
         # first-order method: halving dt roughly halves the error
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
@@ -121,8 +146,8 @@ class TestHeat:
 
     def test_constant_state_is_stationary(self, p3):
         X0 = np.full((3, 2), 4.5)
-        traj = simulate_heat(p3, X0, FlowSpec(horizon=2.0))
-        for X in traj.states:
+        traj, states = collect(simulate_heat, p3, X0, FlowSpec(horizon=2.0))
+        for X in states:
             np.testing.assert_array_equal(X, X0)
         assert traj.dirichlet.max() == 0.0
 
@@ -188,7 +213,6 @@ class TestHeat:
     def test_relative_rate_needs_two_records(self):
         traj = FlowTrajectory(
             times=np.array([0.0]),
-            states=(np.zeros((1, 1)),),
             dirichlet=np.array([0.0]),
             laplacian=np.array([0.0]),
             gate=np.array([0.0]),
@@ -212,14 +236,14 @@ class TestNonlocal:
         X0 = rng.normal(size=(3, 2))
         dt = 0.1
         spec = FlowSpec(horizon=50.0, dt=dt)
-        traj = simulate_nonlocal(p3, X0, spec)
-        for k in range(len(traj.states) - 1):
-            X = traj.states[k]
+        traj, states = collect(simulate_nonlocal, p3, X0, spec)
+        for k in range(len(states) - 1):
+            X = states[k]
             gate = float(integrate(p3, (laplacian_apply(p3, X) ** 2).sum(axis=1)))
             if gate <= 1e-280:
                 break
             np.testing.assert_allclose(
-                traj.states[k + 1], X + dt * laplacian_apply(p3, X), atol=1e-12
+                states[k + 1], X + dt * laplacian_apply(p3, X), atol=1e-12
             )
             assert traj.times[k + 1] - traj.times[k] == pytest.approx(
                 dt / gate, rel=1e-12
@@ -240,7 +264,7 @@ class TestNonlocal:
         assert traj.times[-1] >= 1e8
         # the gate decays exponentially in step count, so horizon grows
         # exponentially too: thousands of steps cover eight decades
-        assert len(traj.states) < 5000
+        assert traj.times.size < 5000
 
     def test_algebraic_tail(self, p3):
         # t * E(t) settles near a constant once the slowest mode dominates
@@ -256,7 +280,7 @@ class TestNonlocal:
         rng = np.random.default_rng(9)
         X0 = rng.normal(size=(3, 2))
         spec = FlowSpec(horizon=0.5, dt=1e-4, record_stride=10**6)
-        traj = simulate_nonlocal(p3, X0, spec)
+        traj, recorded = collect(simulate_nonlocal, p3, X0, spec)
         t_end = traj.times[-1]
 
         def rhs(X):
@@ -264,45 +288,37 @@ class TestNonlocal:
             return gate * laplacian_apply(p3, X)
 
         _, states = rk4_reference(p3, X0, rhs, dt=t_end / 4096, horizon=t_end)
-        np.testing.assert_allclose(traj.states[-1], states[-1], atol=2e-3)
+        np.testing.assert_allclose(recorded[-1], states[-1], atol=2e-3)
 
     def test_constant_state_jumps_to_horizon(self, p3):
         X0 = np.full((3, 2), 2.0)
-        traj = simulate_nonlocal(p3, X0, FlowSpec(horizon=5.0))
+        traj, states = collect(simulate_nonlocal, p3, X0, FlowSpec(horizon=5.0))
         assert traj.times[-1] == 5.0
-        np.testing.assert_array_equal(traj.states[-1], X0)
+        np.testing.assert_array_equal(states[-1], X0)
 
 
 class TestStream:
-    """``observe`` sees every record as it is produced and ``keep`` picks
-    the states the trajectory holds, with the recorded series unchanged."""
+    """``observe`` sees every record as it is produced, with the recorded
+    series unchanged, and the trajectory holds no state."""
 
     @pytest.mark.parametrize(
         "simulate, horizon",
         [(simulate_heat, 1.0), (simulate_nonlocal, 40.0), (simulate_preln_flow, 2.0)],
     )
-    def test_observe_and_keep(self, simulate, horizon):
+    def test_observe_sees_every_record(self, simulate, horizon):
         G, _ = random_graph(np.random.default_rng(31), n=9, admissible=True)
         X0 = np.random.default_rng(32).normal(size=(9, 2))
         spec = FlowSpec(horizon=horizon, dt=0.1, record_stride=3)
-        full = simulate(G, X0, spec)
-        last = full.times.size - 1
+        plain = simulate(G, X0, spec)
         seen = []
-        part = simulate(
-            G, X0, spec, keep={0, last},
-            observe=lambda t, X: seen.append((t, X.copy())),
-        )
-        none = simulate(G, X0, spec, keep=())
-        assert [t for t, _ in seen] == full.times.tolist()
-        for (_, X), kept in zip(seen, full.states):
-            np.testing.assert_array_equal(X, kept)
-        assert part.states[1:-1] == (None,) * (last - 1)
-        np.testing.assert_array_equal(part.states[0], full.states[0])
-        np.testing.assert_array_equal(part.states[-1], full.states[-1])
-        assert none.states == (None,) * full.times.size
-        for traj in (part, none):
-            for name in ("times", "dirichlet", "laplacian", "gate"):
-                np.testing.assert_array_equal(getattr(traj, name), getattr(full, name))
+        observed = simulate(
+            G, X0, spec, observe=lambda t, X: seen.append((t, X.copy())))
+        assert [t for t, _ in seen] == plain.times.tolist()
+        assert [derivative_energy(G, X, 1) for _, X in seen] == plain.dirichlet.tolist()
+        for name in ("times", "dirichlet", "laplacian", "gate"):
+            np.testing.assert_array_equal(getattr(observed, name), getattr(plain, name))
+        series = 4 if plain.norm_mass is None else 5
+        assert nbytes(plain) == series * plain.times.nbytes  # no state
 
     def test_large_gated_flow_holds_no_records(self):
         # A gated flow on a 10⁵-node ring at d = 4 records 205 states. Kept,
@@ -317,7 +333,7 @@ class TestStream:
         X0 = np.random.default_rng(33).normal(size=(n, d))
         state = nbytes(X0)
         traj, peak = traced_peak(
-            lambda: simulate_nonlocal(ring, X0, FlowSpec(horizon=10.0), keep=())
+            lambda: simulate_nonlocal(ring, X0, FlowSpec(horizon=10.0))
         )
         assert traj.times.size > 200
         assert peak < STATE_TEMPORARIES * state + 64 * n * 8  # 89.6 MB
@@ -335,16 +351,16 @@ class TestPrelnFlow:
     def test_energy_grows(self):
         G, _ = random_graph(np.random.default_rng(13), n=20, admissible=True)
         X0 = np.random.default_rng(14).normal(size=(20, 5))
-        traj = simulate_preln_flow(G, X0, FlowSpec(horizon=20.0))
+        traj, states = collect(simulate_preln_flow, G, X0, FlowSpec(horizon=20.0))
         assert traj.dirichlet[-1] > traj.dirichlet[0]
-        assert np.isfinite(traj.states[-1]).all()
+        assert np.isfinite(states[-1]).all()
 
     def test_rk4_cross_check(self):
         G, _ = random_graph(np.random.default_rng(15), n=8, admissible=True)
         rng = np.random.default_rng(16)
         X0 = rng.normal(size=(8, 3))
         spec = FlowSpec(horizon=1.0, dt=1e-3, record_stride=10**6)
-        traj = simulate_preln_flow(G, X0, spec)
+        traj, recorded = collect(simulate_preln_flow, G, X0, spec)
         radius = np.sqrt(G.n / float(G.measure.sum()))
 
         def rhs(X):
@@ -354,7 +370,7 @@ class TestPrelnFlow:
         _, states = rk4_reference(
             G, X0, rhs, dt=traj.times[-1] / 4096, horizon=traj.times[-1]
         )
-        np.testing.assert_allclose(traj.states[-1], states[-1], atol=1e-2)
+        np.testing.assert_allclose(recorded[-1], states[-1], atol=1e-2)
 
     def test_rejects_inadmissible_graph(self):
         G = build_weighted_graph([(0, 1, 1.0)], measure=[1.0, 1.0])
@@ -374,8 +390,9 @@ class TestRecordedSeries:
     last step falls between two strides."""
 
     @staticmethod
-    def _check_against_oracle(G, edges, traj):
-        for X, dirichlet, laplacian in zip(traj.states, traj.dirichlet, traj.laplacian):
+    def _check_against_oracle(G, edges, traj, states):
+        assert len(states) == traj.times.size
+        for X, dirichlet, laplacian in zip(states, traj.dirichlet, traj.laplacian):
             assert dirichlet == pytest.approx(
                 energy_oracle(G.n, edges, G.measure, X, 1), rel=1e-10, abs=1e-14
             )
@@ -396,24 +413,23 @@ class TestRecordedSeries:
             "nonlocal": simulate_nonlocal,
             "preln": simulate_preln_flow,
         }[kind]
-        every = simulate(G, X0, FlowSpec(horizon=horizon, dt=dt))
-        strided = simulate(
-            G, X0, FlowSpec(horizon=horizon, dt=dt, record_stride=3)
-        )
+        every, every_states = collect(
+            simulate, G, X0, FlowSpec(horizon=horizon, dt=dt))
+        strided, strided_states = collect(
+            simulate, G, X0, FlowSpec(horizon=horizon, dt=dt, record_stride=3))
         steps = every.times.size - 1
         assert steps % 3 != 0  # the final record falls mid-stride
         kept = list(range(0, steps, 3)) + [steps]
         np.testing.assert_array_equal(strided.times, every.times[kept])
-        for traj in (every, strided):
-            self._check_against_oracle(G, edges, traj)
+        self._check_against_oracle(G, edges, every, every_states)
+        self._check_against_oracle(G, edges, strided, strided_states)
 
     def test_gated_constant_state_jump(self):
         G, edges = random_graph(np.random.default_rng(23), n=7)
-        traj = simulate_nonlocal(
-            G, np.full((7, 2), -1.5), FlowSpec(horizon=3.0)
-        )
+        traj, states = collect(
+            simulate_nonlocal, G, np.full((7, 2), -1.5), FlowSpec(horizon=3.0))
         assert traj.times.tolist() == [0.0, 3.0]
-        self._check_against_oracle(G, edges, traj)
+        self._check_against_oracle(G, edges, traj, states)
         assert traj.gate.tolist() == [0.0, 0.0]
 
 
