@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -83,6 +85,7 @@ MEASUREMENT_NOTE = (
     "energies measured on the unit-weight graph with vertex measure "
     "degree+1 over the run topology"
 )
+FLOW_GRAPH_NOTE = "energies measured on the flow's own weights and vertex measure"
 COSINE_LAYER_CAP = 17  # cosine matrices subsample to at most this many layers
 
 
@@ -201,10 +204,10 @@ def run_sweep(
     Parameters are drawn layer by layer from one seeded stream, so a
     depth-d stack is the first d layers of a deeper one with the same
     seed: each (variant, seed) runs and measures once at the deepest
-    depth, and every depth takes its prefix. Energies are measured as the
-    states are produced, and of the states the cosine matrices read only
-    their unit-row forms are kept. One progress line per (variant, seed)
-    goes to stderr.
+    depth, and every depth takes its prefix. Energies are measured on a
+    second thread while the next layers run, and of the states the cosine
+    matrices read only their unit-row forms are kept. One progress line
+    per (variant, seed) goes to stderr.
     """
     X = random_features(
         G.n, spec.input_dim, seed=spec.feature_seed, scale=spec.feature_scale
@@ -221,7 +224,7 @@ def run_sweep(
             finished = pool.map(_run_trajectory, packed)
         else:
             finished = map(_run_trajectory, packed)
-        for i, ((variant, seed), (jobs, seconds, kept, produced)) in enumerate(
+        for i, ((variant, seed), (jobs, seconds, busy, kept, produced)) in enumerate(
             zip(units, finished), start=1
         ):
             failed = [str(j.depth) for j in jobs if not j.ok]
@@ -229,7 +232,8 @@ def run_sweep(
             print(
                 f"sweep [{i}/{len(units)}] {variant} seed {seed} depths "
                 f"{','.join(str(d) for d in spec.depths)}: {outcome}, "
-                f"{seconds:.1f} s, kept {kept} of {produced} states",
+                f"{seconds:.1f} s, measuring {busy:.1f} s, "
+                f"kept {kept} of {produced} states",
                 file=sys.stderr,
             )
             cells.update(((variant, j.depth, seed), j) for j in jobs)
@@ -246,21 +250,26 @@ def run_sweep(
     return result
 
 
-def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
+def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     """Run one (variant, seed) at the deepest depth and build every
-    depth's job from its prefix; returns the jobs, the wall seconds, and
-    how many of the produced states were kept for the cosine matrices.
+    depth's job from its prefix; returns the jobs, the wall seconds, the
+    seconds spent measuring, and how many of the produced states were
+    kept for the cosine matrices.
 
     Each state's energy is measured, and with ``dump_states`` its file
-    written into every depth that reaches it, as the forward pass produces
-    it. No state itself is kept: each state in the union of the depths'
-    cosine subsamples is normalized to unit rows once, as it arrives, and
-    every depth's cosine matrix is the Gram of its subsample of those.
+    written into every depth that reaches it, on a second thread while the
+    forward pass computes the next layers. Measurements run in order, and
+    the forward pass hands over state k only once state k-2 is measured,
+    so at most two states are in flight. No state itself is kept: each
+    state in the union of the depths' cosine subsamples is normalized to
+    unit rows once, as it is measured, and every depth's cosine matrix is
+    the Gram of its subsample of those.
 
     A non-finite layer k fails only the depths that reach it; the k
     energies measured before it still serve every shallower depth, and a
     failed depth's directory holds only its ``report.json``. Any other
-    failure fails every depth.
+    failure fails every depth; a failed measurement also stops the forward
+    pass, and the earliest failure in state order is the one reported.
     """
     G, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
@@ -275,8 +284,11 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
     canonical = canonical_energy_graph(G)
     energies = []
     units = {}
+    busy = 0.0
 
     def measure(k, state):
+        nonlocal busy
+        begin = time.perf_counter()
         energies.append(derivative_energy(canonical, state, spec.energy_order))
         if k in cosine_layers:
             units[k] = unit_rows(state)
@@ -289,14 +301,29 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
                     state,
                     provenance=f"config-hash={config_hash} seed={seed} layer={k}",
                 )
+        busy += time.perf_counter() - begin
 
     failure, reached = None, cfg.depth + 1
-    try:
-        forward_trajectory(init_model(cfg), cfg, G, X, keep=(), observe=measure)
-    except NonFiniteLayerError as exc:
-        failure, reached = exc, exc.layer
-    except Exception as exc:  # capture per trajectory, keep the sweep alive
-        failure, reached = exc, 0
+    in_flight = []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as meter:
+
+        def observe(k, state):
+            if len(in_flight) == 2:
+                in_flight[0].result()  # a failed measurement stops the pass
+                del in_flight[0]
+            in_flight.append(meter.submit(measure, k, state))
+
+        try:
+            forward_trajectory(init_model(cfg), cfg, G, X, keep=(), observe=observe)
+        except NonFiniteLayerError as exc:
+            failure, reached = exc, exc.layer
+        except Exception as exc:  # capture per trajectory, keep the sweep alive
+            failure, reached = exc, 0
+        # These states precede any forward-pass failure, so the first of
+        # their failures is the earliest.
+        failed = [f.exception() for f in in_flight if f.exception() is not None]
+        if failed:
+            failure, reached = failed[0], 0
 
     jobs = []
     for depth in spec.depths:
@@ -340,7 +367,7 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, int, int]:
                 _write_job_files(out_dir, job, units, changes.values, spec, config_hash)
         jobs.append(job)
     kept = sum(k < reached for k in units)
-    return jobs, time.perf_counter() - start, kept, reached
+    return jobs, time.perf_counter() - start, busy, kept, reached
 
 
 def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
@@ -502,12 +529,12 @@ def _data_digest(arrays) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _csv_meta(config_hash: str, seed) -> list[str]:
+def _csv_meta(config_hash: str, seed, note: str = MEASUREMENT_NOTE) -> list[str]:
     seed_part = "" if seed is None else f" seed={seed}"
     return [
         f"# config-hash={config_hash}{seed_part} "
         f"version={graphenergy.__version__}",
-        f"# {MEASUREMENT_NOTE}",
+        f"# {note}",
     ]
 
 
@@ -773,7 +800,7 @@ def cmd_flow(args) -> int:
     )
     _write_csv(
         os.path.join(args.out, "trajectory.csv"),
-        _csv_meta(config_hash, args.feature_seed),
+        _csv_meta(config_hash, args.feature_seed, FLOW_GRAPH_NOTE),
         ("time", "dirichlet", "laplacian", "gate"),
         (trajectory.times, trajectory.dirichlet, trajectory.laplacian, trajectory.gate),
     )
@@ -1014,11 +1041,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blas_thread_count():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS,
+    or None when numpy carries no OpenBLAS that exports them."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread, then restore the count it had.
+
+    A second BLAS thread gains a sweep no wall time: its n x 32 by 32 x 64
+    products are too narrow to share, and the idle thread busy-waits
+    between them on the core that the sweep's measurement thread uses.
+    """
+    found = _blas_thread_count()
+    if found is None:
+        yield
+        return
+    get, put = found
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _expand_config(argv)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with _one_blas_thread():
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 import json
 import os
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import graphenergy.cli as cli
+import graphenergy.network as network
 from graphenergy.attention import AttentionKind
 from graphenergy.cli import SweepSpec, main, run_sweep, surrogate_spec
 from graphenergy.diagnostics import energy_series, fit_decay, relative_change_series
@@ -321,15 +324,126 @@ class TestSweepPrefixes:
         err = capsys.readouterr().err
         assert "post_ln seed 0 depths 2,5,8: failed at depths 5,8" in err
 
-    def test_worker_pool_matches_serial(self, graph, tmp_path, capsys):
-        serial = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "serial"))
-        pooled = run_sweep(graph, self.SPEC, out_dir=str(tmp_path / "pooled"),
-                           workers=2)
-        assert [(j.variant, j.depth, j.seed) for j in pooled.jobs] == [
-            (j.variant, j.depth, j.seed) for j in serial.jobs
+    def test_worker_pool_matches_serial(self, tmp_path, capsys):
+        spec = self.SPEC
+        argv = [
+            "sweep", "--kind", "sbm", "--block-sizes", "15,15",
+            "--block-probs", "0.4,0.05;0.05,0.4", "--graph-seed", "0",
+            "--depths", "2,5,8", "--seeds", "0,1",
+            "--attention", spec.attention.variant, "--heads", str(spec.heads),
+            "--hidden-dim", str(spec.hidden_dim), "--input-dim", str(spec.input_dim),
+            "--output-dim", str(spec.output_dim),
         ]
-        assert read_file_map(tmp_path / "serial") == read_file_map(tmp_path / "pooled")
+        assert main(argv + ["--workers", "1", "--out", str(tmp_path / "serial")]) == 0
+        assert main(argv + ["--workers", "2", "--out", str(tmp_path / "pooled")]) == 0
+        serial = read_file_map(tmp_path / "serial")
+        assert len(serial) == 1 + 3 * 3 * 2 * 4  # summary, then four files a cell
+        assert read_file_map(tmp_path / "pooled") == serial
         assert capsys.readouterr().err.count("[6/6]") == 2
+
+    @pytest.mark.parametrize("bad", [5, 8])  # 8: found after the last layer
+    def test_failed_measurement_stops_the_pass(
+        self, graph, tmp_path, monkeypatch, bad
+    ):
+        spec = replace(self.SPEC, variants=("post_ln",), seeds=(0,), dump_states=True)
+        real_energy, real_step = cli.derivative_energy, network.layer_step
+        calls, steps = [], []
+
+        def energy(G, X, m):
+            calls.append(len(calls))
+            if calls[-1] >= bad:
+                raise ValueError(f"synthetic failure at state {calls[-1]}")
+            return real_energy(G, X, m)
+
+        def step(*args):
+            steps.append(len(steps) + 1)
+            return real_step(*args)
+
+        monkeypatch.setattr(cli, "derivative_energy", energy)
+        monkeypatch.setattr(network, "layer_step", step)
+        result = run_sweep(graph, spec, out_dir=str(tmp_path))
+        assert [(j.depth, j.ok, j.error, j.layer) for j in result.jobs] == [
+            (d, False, f"ValueError: synthetic failure at state {bad}", None)
+            for d in (2, 5, 8)
+        ]
+        assert bad <= len(steps) <= min(bad + 2, 8)  # two layers past it at most
+        assert not [d for d, dirs, _ in os.walk(tmp_path) if "states" in dirs]
+
+    def test_at_most_two_states_in_flight(self, graph, monkeypatch, capsys):
+        spec = replace(self.SPEC, variants=("post_ln",), seeds=(0,))
+        real_energy, real_step = cli.derivative_energy, network.layer_step
+        measured, in_flight = [], []
+
+        def slow(G, X, m):
+            time.sleep(0.02)
+            value = real_energy(G, X, m)
+            measured.append(value)
+            return value
+
+        def step(*args):
+            # states 0 .. j-1 are handed over before layer j runs
+            in_flight.append(len(in_flight) + 1 - len(measured))
+            return real_step(*args)
+
+        clean = run_sweep(graph, spec)
+        monkeypatch.setattr(cli, "derivative_energy", slow)
+        monkeypatch.setattr(network, "layer_step", step)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            result = run_sweep(graph, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(in_flight) == 8 and max(in_flight) == 2
+        assert [j.series.values.tobytes() for j in result.jobs] == [
+            j.series.values.tobytes() for j in clean.jobs
+        ]
+        err = capsys.readouterr().err.splitlines()[-1]
+        seconds = float(err.split("measuring ")[1].split(" s,")[0])
+        assert seconds >= 0.1  # nine states at 0.02 s each
+
+
+class TestBlasThreads:
+    """A command runs numpy's OpenBLAS on one thread and then restores the
+    thread count it found."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        found = cli._blas_thread_count()
+        if found is None:
+            pytest.skip("numpy carries no OpenBLAS thread-count symbols")
+        get, put = found
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_command_runs_on_one_thread(
+        self, blas_threads, p3_file, monkeypatch, capsys
+    ):
+        seen = []
+        real = cli.cmd_stats
+
+        def spy(args):
+            seen.append(blas_threads())
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_stats", spy)
+        assert main(["stats", "--edges", p3_file]) == 0
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_after_a_failed_command(
+        self, blas_threads, p3_file, monkeypatch
+    ):
+        def boom(args):
+            assert blas_threads() == 1
+            raise RuntimeError("synthetic command failure")
+
+        monkeypatch.setattr(cli, "cmd_stats", boom)
+        with pytest.raises(RuntimeError, match="synthetic command failure"):
+            main(["stats", "--edges", p3_file])
+        assert blas_threads() == 2
 
 
 class TestSweepMemory:
@@ -443,6 +557,8 @@ class TestFlow:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_weighted_graph_energy_on_canonical_graph(self, tmp_path, order):
+        """``energy.csv`` is measured on the canonical graph and
+        ``trajectory.csv`` on the flow's own; each file's note says which."""
         edges = tmp_path / "weighted.txt"
         edges.write_text("0 1 0.5\n1 2 2.0\n2 3 1.5\n")
         out = tmp_path / "flow"
@@ -467,6 +583,12 @@ class TestFlow:
         assert [row[1] for row in energy] == expected
         _, rows = csv_columns(out / "trajectory.csv")
         assert [row[1] for row in rows] != [row[1] for row in energy]
+        assert [row[1] for row in rows] == [
+            repr(derivative_energy(G, X, 1)) for X in states
+        ]
+        notes = [(out / name).read_text().splitlines()[1]
+                 for name in ("energy.csv", "trajectory.csv")]
+        assert notes == [f"# {cli.MEASUREMENT_NOTE}", f"# {cli.FLOW_GRAPH_NOTE}"]
 
     @pytest.mark.parametrize(
         "flag, value, message",
