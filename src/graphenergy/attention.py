@@ -37,6 +37,10 @@ VARIANT_UNIFORM = "gcn"
 VARIANT_ADDITIVE = "gat"
 VARIANT_DOT = "san"
 SCORE_VARIANTS = (VARIANT_UNIFORM, VARIANT_ADDITIVE, VARIANT_DOT)
+# The dot-product rule scores the undirected edges in blocks whose row
+# gathers stay within this many bytes each (4,096 edges at d = 32), so a
+# layer's temporaries do not grow with E x d.
+SCORE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,11 @@ def attention_scores(
             raise ValueError("key and query maps must share the head dimension")
         KQ = key @ query.T
         XS = X @ ((KQ + KQ.T) * (0.5 / np.sqrt(key.shape[1])))
-        edge = np.einsum("ed,ed->e", X[i], XS[j])
+        edge = np.empty(i.size)
+        block = max(1, SCORE_BLOCK_BYTES // max(1, XS.shape[1] * XS.itemsize))
+        for lo in range(0, i.size, block):
+            hi = lo + block
+            np.einsum("ed,ed->e", X[i[lo:hi]], XS[j[lo:hi]], out=edge[lo:hi])
         diag = np.einsum("nd,nd->n", X, XS)
 
     return EdgeScores(graph=G, values=edge[G.undirected_edge_ids], diagonal=diag)

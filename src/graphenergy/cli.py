@@ -59,6 +59,7 @@ from graphenergy.graph import (
 from graphenergy.ingest import (
     GENERATOR_KINDS,
     SyntheticSpec,
+    check_feature_scale,
     dataset_stats,
     ensure_directory,
     generate_graph,
@@ -141,6 +142,7 @@ class SweepSpec:
             raise ValueError(
                 f"energy order must be nonnegative, got {self.energy_order}"
             )
+        check_feature_scale(self.feature_scale)
         configs = {
             variant: ModelConfig(
                 input_dim=self.input_dim,
@@ -657,10 +659,16 @@ def _synthetic_spec_from_args(args) -> SyntheticSpec:
 
 def _resolve_graph(args) -> tuple[WeightedGraph, str]:
     if args.edges:
-        return load_edge_list(args.edges), os.path.basename(args.edges)
-    spec = _synthetic_spec_from_args(args)
-    label = spec.kind if args.kind else "sbm-surrogate"
-    return generate_graph(spec), label
+        G = load_edge_list(args.edges)
+    else:
+        G = generate_graph(_synthetic_spec_from_args(args))
+    return G, _graph_label(args)
+
+
+def _graph_label(args) -> str:
+    if args.edges:
+        return os.path.basename(args.edges)
+    return args.kind or "sbm-surrogate"
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -713,7 +721,6 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    G, label = _resolve_graph(args)
     attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
     try:
         spec = SweepSpec(
@@ -727,13 +734,14 @@ def cmd_sweep(args) -> int:
             output_dim=args.output_dim,
             feature_seed=args.feature_seed,
             feature_scale=args.feature_scale,
-            graph_label=label,
+            graph_label=_graph_label(args),
             energy_order=args.energy_order,
             dump_states=args.dump_states,
             write_cosine=not args.no_cosine,
         )
     except ValueError as exc:
         raise SystemExit(f"bad sweep arguments: {exc}") from None
+    G, _ = _resolve_graph(args)
     ensure_directory(args.out)
     result = run_sweep(G, spec, out_dir=args.out, workers=args.workers)
     failed = [j for j in result.jobs if not j.ok]
@@ -752,6 +760,7 @@ def cmd_flow(args) -> int:
             raise ValueError(
                 f"energy order must be nonnegative, got {args.energy_order}"
             )
+        check_feature_scale(args.feature_scale)
         spec = FlowSpec(horizon=args.horizon, dt=args.dt, record_stride=args.stride)
     except ValueError as exc:
         raise SystemExit(f"bad flow arguments: {exc}") from None
@@ -836,12 +845,9 @@ def _sqrt_growth_slope(times: np.ndarray, scaled: np.ndarray) -> float:
 
 
 def cmd_prune(args) -> int:
-    G, label = _resolve_graph(args)
-    X = random_features(
-        G.n, args.input_dim, seed=args.feature_seed, scale=args.feature_scale
-    )
     attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
     try:
+        check_feature_scale(args.feature_scale)
         base = ModelConfig(
             input_dim=args.input_dim,
             output_dim=args.output_dim,
@@ -853,6 +859,10 @@ def cmd_prune(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"bad model arguments: {exc}") from None
+    G, label = _resolve_graph(args)
+    X = random_features(
+        G.n, args.input_dim, seed=args.feature_seed, scale=args.feature_scale
+    )
     rows = []
     for seed in args.seeds:
         cfg = replace(base, seed=seed)

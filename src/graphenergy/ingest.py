@@ -24,6 +24,9 @@ KIND_GRID = "grid2d"
 KIND_ER = "erdos-renyi"
 KIND_SBM = "sbm"
 GENERATOR_KINDS = (KIND_PATH, KIND_RING, KIND_GRID, KIND_ER, KIND_SBM)
+# Upper-triangle pairs drawn per chunk by the random generators (2 MiB of
+# uniforms), so their memory does not grow with n².
+PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,13 @@ class SyntheticSpec:
             P = self.block_probs
             if P is None or len(P) != k or any(len(row) != k for row in P):
                 raise ValueError(f"sbm needs a {k}x{k} block_probs matrix")
-            flat = [p for row in P for p in row]
-            if min(flat) < 0 or max(flat) > 1:
-                raise ValueError("block probabilities must lie in [0, 1]")
+            for a, row in enumerate(P):
+                for b, p in enumerate(row):
+                    if not 0 <= p <= 1:  # also false for NaN
+                        raise ValueError(
+                            f"block probability ({a}, {b}) is {p!r}; block "
+                            "probabilities must lie in [0, 1]"
+                        )
             for a in range(k):
                 for b in range(a + 1, k):
                     if P[a][b] != P[b][a]:
@@ -131,13 +138,11 @@ def generate_graph(spec: SyntheticSpec) -> WeightedGraph:
         blocks = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
         prob_of = np.asarray(spec.block_probs, dtype=float)
 
-    src, dst = np.triu_indices(n, k=1)
-    pair_probs = prob_of[blocks[src], blocks[dst]]
     for _ in range(spec.max_retries):
-        keep = rng.random(src.size) < pair_probs
-        if not keep.any():
+        pairs = _draw_pairs(rng, blocks, prob_of)
+        if not pairs.size:
             continue
-        G = build_weighted_graph(np.column_stack([src[keep], dst[keep]]), n=n)
+        G = build_weighted_graph(pairs, n=n)
         if G.is_connected:
             return G
     raise RuntimeError(
@@ -146,12 +151,51 @@ def generate_graph(spec: SyntheticSpec) -> WeightedGraph:
     )
 
 
+def _draw_pairs(rng, blocks: np.ndarray, prob_of: np.ndarray) -> np.ndarray:
+    """Keep each pair ``i < j`` with probability ``prob_of[blocks[i],
+    blocks[j]]``, drawing one uniform per pair in ``np.triu_indices``
+    order; returns the kept pairs as an (E, 2) array in that order.
+
+    The triangle is walked in flat chunks of ``PAIR_CHUNK`` pairs, and a
+    chunk's probabilities are slices of the rows of ``prob_of[:, blocks]``,
+    so memory is O(chunk + n + E) and time O(n²). PCG64 gives the same
+    doubles drawn at once or in pieces, so the sample equals one
+    ``rng.random(n (n - 1) / 2)`` draw against all pairs.
+    """
+    n = blocks.size
+    row_probs = prob_of[:, blocks]
+    rows = np.arange(n + 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (r, r + 1)
+    shift = rows + 1 - starts  # column of flat index f in row r: f + shift[r]
+    total = int(starts[-1])
+    kept = []
+    for lo in range(0, total, PAIR_CHUNK):
+        hi = min(lo + PAIR_CHUNK, total)
+        first, last = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
+        probs = np.concatenate([
+            row_probs[blocks[r], max(lo, starts[r]) + shift[r]:
+                      min(hi, starts[r + 1]) + shift[r]]
+            for r in range(first, last + 1)
+        ])
+        flat = np.flatnonzero(rng.random(hi - lo) < probs) + lo
+        src = np.searchsorted(starts, flat, side="right") - 1
+        kept.append(np.column_stack([src, flat + shift[src]]))
+    return np.concatenate(kept) if kept else np.empty((0, 2), dtype=np.int64)
+
+
+def check_feature_scale(scale: float) -> None:
+    """Reject a feature scale that is negative, NaN or infinite."""
+    if not 0 <= scale < np.inf:
+        raise ValueError(
+            f"feature scale must be finite and nonnegative, got {scale!r}"
+        )
+
+
 def random_features(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Seeded centered-normal feature matrix; scale 0 gives exact zeros."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if scale < 0:
-        raise ValueError("scale cannot be negative")
+    check_feature_scale(scale)
     return np.random.default_rng(seed).normal(0.0, scale, size=(n, d))
 
 

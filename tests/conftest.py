@@ -159,6 +159,31 @@ def random_graph(rng: np.random.Generator, n: int, admissible: bool = False):
     return G, edges
 
 
+def triu_sample(spec) -> tuple[WeightedGraph, int]:
+    """Erdős–Rényi or SBM sample of ``spec`` drawn against all
+    ``np.triu_indices`` pairs at once, and the number of draws it took.
+    Test oracle only: its memory grows with n²."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == "erdos-renyi":
+        n = spec.size
+        blocks = np.zeros(n, dtype=np.int64)
+        prob_of = np.array([[spec.edge_prob]])
+    else:
+        n = int(sum(spec.block_sizes))
+        blocks = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
+        prob_of = np.asarray(spec.block_probs, dtype=float)
+    src, dst = np.triu_indices(n, k=1)
+    pair_probs = prob_of[blocks[src], blocks[dst]]
+    for draw in range(1, spec.max_retries + 1):
+        keep = rng.random(src.size) < pair_probs
+        if not keep.any():
+            continue
+        G = build_weighted_graph(np.column_stack([src[keep], dst[keep]]), n=n)
+        if G.is_connected:
+            return G, draw
+    raise RuntimeError("no connected sample")
+
+
 def rk4_reference(G, X0, rhs, dt: float, horizon: float):
     """Classical fixed-step Runge-Kutta. Test oracle only.
 

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+import graphenergy.attention as attention
 from graphenergy.attention import (
     AttentionKind,
     AttentionParams,
@@ -16,8 +17,9 @@ from graphenergy.attention import (
     symmetrize_scores,
 )
 from graphenergy.graph import aggregate_apply, build_weighted_graph
+from graphenergy.ingest import SyntheticSpec, generate_graph
 
-from conftest import random_graph
+from conftest import random_graph, traced_peak
 
 
 def _edge_value(scores, i, j):
@@ -199,6 +201,77 @@ class TestOnePassScores:
         params = AttentionParams(key=np.ones((2, 2)), query=np.ones((2, 1)))
         with pytest.raises(ValueError, match="head dimension"):
             attention_scores(AttentionKind("san"), params, p3, np.ones((3, 2)))
+
+
+def one_pass_dot_scores(params, G, X):
+    """Dot-product scores with every undirected edge in one ``einsum``."""
+    i, j = G.edge_ends
+    KQ = params.key @ params.query.T
+    XS = X @ ((KQ + KQ.T) * (0.5 / np.sqrt(params.key.shape[1])))
+    edge = np.einsum("ed,ed->e", X[i], XS[j])
+    return edge[G.undirected_edge_ids], np.einsum("nd,nd->n", X, XS)
+
+
+def _graph_with_edges(count: int, n: int = 12):
+    rng = np.random.default_rng(count)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.choice(len(pairs), size=count, replace=False)
+    return build_weighted_graph([pairs[k] for k in sorted(chosen)], n=n)
+
+
+class TestScoreBlocks:
+    """Dot-product scores are formed in blocks of undirected edges; the
+    values must be bitwise those of one pass over every edge."""
+
+    BLOCK = 8
+
+    @pytest.mark.parametrize("edges", [0, 1, 5, 8, 16, 19])
+    @pytest.mark.parametrize("d", [1, 6, 32])
+    def test_blocked_scores_bitwise_equal_to_one_pass(self, monkeypatch, edges, d):
+        monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", self.BLOCK * d * 8)
+        G = _graph_with_edges(edges)
+        rng = np.random.default_rng(d)
+        params = AttentionParams(key=rng.normal(size=(d, max(1, d // 2))),
+                                 query=rng.normal(size=(d, max(1, d // 2))))
+        X = rng.normal(size=(G.n, d))
+        scores = attention_scores(AttentionKind("san"), params, G, X)
+        values, diag = one_pass_dot_scores(params, G, X)
+        assert G.indices.size == 2 * edges
+        assert scores.values.tobytes() == values.tobytes()
+        assert scores.diagonal.tobytes() == diag.tobytes()
+
+    def test_budget_below_one_row_scores_one_edge_per_block(self, monkeypatch):
+        # a budget below one row still scores one edge per block
+        monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1)
+        G = _graph_with_edges(7)
+        rng = np.random.default_rng(3)
+        params = AttentionParams(key=rng.normal(size=(4, 2)),
+                                 query=rng.normal(size=(4, 2)))
+        X = rng.normal(size=(G.n, 4))
+        scores = attention_scores(AttentionKind("san"), params, G, X)
+        assert scores.values.tobytes() == one_pass_dot_scores(params, G, X)[0].tobytes()
+
+    def test_dense_graph_scores_in_bounded_memory(self):
+        """ER with mean degree 40 on 2,000 nodes at d = 32: one n x d state
+        is 512 KB and E/n = 20. Scoring may hold ``XS``, the two 1 MiB
+        block gathers (4 states here) and the length-E/2 and length-E
+        score arrays (1.9 states): 8 states. Gathering every edge at once
+        takes two E x d arrays, 40 states."""
+        n, d = 2000, 32
+        G = generate_graph(
+            SyntheticSpec(kind="erdos-renyi", size=n, edge_prob=40 / (n - 1))
+        )
+        G.undirected_edge_ids  # cached graph arrays are not the call's
+        rng = np.random.default_rng(0)
+        params = AttentionParams(key=rng.normal(size=(d, d)),
+                                 query=rng.normal(size=(d, d)))
+        X = rng.normal(size=(n, d))
+        scores, peak = traced_peak(
+            lambda: attention_scores(AttentionKind("san"), params, G, X)
+        )
+        assert G.indices.size > 35 * n
+        assert scores.values.tobytes() == one_pass_dot_scores(params, G, X)[0].tobytes()
+        assert peak < 8 * n * d * 8, peak / (n * d * 8)
 
 
 class TestClosedOperator:

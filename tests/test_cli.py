@@ -49,7 +49,18 @@ def p3_file(tmp_path):
     return str(f)
 
 
+def no_graph(args):
+    raise AssertionError("the graph was built")
+
+
 class TestGen:
+    def test_nan_block_probability_named(self, tmp_path):
+        out = tmp_path / "g.txt"
+        with pytest.raises(SystemExit, match=r"block probability \(0, 0\) is nan"):
+            main(["gen", "--kind", "sbm", "--block-sizes", "5,5",
+                  "--block-probs", "nan,0.5;0.5,nan", "--out", str(out)])
+        assert not out.exists()
+
     def test_ring_four_writes_four_edges(self, tmp_path, capsys):
         out = tmp_path / "ring.txt"
         rc = main(["gen", "--kind", "ring", "--size", "4", "--out", str(out)])
@@ -207,8 +218,13 @@ class TestSweep:
         ("--variants", "post_ln,foo", "'foo'"),
         ("--heads", "3", "heads 3"),
         ("--energy-order", "-1", "energy order must be nonnegative, got -1"),
+        ("--feature-scale", "nan", "feature scale must be finite and nonnegative"),
+        ("--feature-scale", "inf", "feature scale must be finite and nonnegative"),
     ])
-    def test_bad_model_flag_fails_before_writing(self, tmp_path, flag, value, named):
+    def test_bad_model_flag_fails_before_writing(
+        self, tmp_path, monkeypatch, flag, value, named
+    ):
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
         with pytest.raises(SystemExit, match=named):
             main(self.sweep_args(tmp_path, "run") + [flag, value])
         assert not (tmp_path / "run").exists()
@@ -596,14 +612,13 @@ class TestFlow:
             ("--horizon", "0", "horizon must be positive"),
             ("--dt", "-0.5", "dt must be positive"),
             ("--stride", "0", "record_stride must be at least 1"),
+            ("--feature-scale", "nan", "feature scale must be finite"),
+            ("--feature-scale", "inf", "feature scale must be finite"),
         ],
     )
     def test_bad_flow_argument_fails_before_building_graph(
         self, p3_file, tmp_path, monkeypatch, flag, value, message
     ):
-        def no_graph(args):
-            raise AssertionError("the graph was built")
-
         monkeypatch.setattr(cli, "_resolve_graph", no_graph)
         out = tmp_path / "flow"
         argv = ["flow", "--edges", p3_file, "--flow", "heat", "--horizon", "1"]
@@ -641,6 +656,20 @@ class TestPrune:
         assert set(report["medians"]) == {"2", "4"}
         rows = np.loadtxt(out / "prune.csv", delimiter=",", skiprows=3)
         assert rows.shape == (4, 4)
+
+    def test_bad_feature_scale_fails_before_building_graph(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
+        with pytest.raises(SystemExit, match="feature scale must be finite"):
+            main(
+                [
+                    "prune", "--kind", "ring", "--size", "10",
+                    "--depth", "4", "--layers", "2", "--feature-scale", "nan",
+                    "--out", str(tmp_path / "prune"),
+                ]
+            )
+        assert not (tmp_path / "prune").exists()
 
     def test_bad_heads_fail_before_running(self, tmp_path):
         with pytest.raises(SystemExit, match="heads 3"):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphenergy.ingest as ingest
+from graphenergy.cli import surrogate_spec
 from graphenergy.graph import build_weighted_graph
 from graphenergy.ingest import (
     DatasetStats,
@@ -19,7 +21,7 @@ from graphenergy.ingest import (
     write_matrix,
 )
 
-from conftest import neighbors
+from conftest import neighbors, traced_peak, triu_sample
 
 
 class TestSyntheticSpec:
@@ -57,6 +59,22 @@ class TestSyntheticSpec:
                 r"\[0, 1\]",
             ),
             (dict(kind="path", size=3, max_retries=0), "max_retries"),
+            (
+                dict(
+                    kind="sbm",
+                    block_sizes=(5, 5),
+                    block_probs=((np.nan, 0.5), (0.5, np.nan)),
+                ),
+                r"\(0, 0\) is nan",
+            ),
+            (
+                dict(
+                    kind="sbm",
+                    block_sizes=(5, 5),
+                    block_probs=((0.5, np.inf), (np.inf, 0.5)),
+                ),
+                r"\(0, 1\) is inf",
+            ),
         ],
     )
     def test_invalid_parameters(self, kwargs, message):
@@ -137,6 +155,79 @@ class TestGenerate:
             generate_graph(spec)
 
 
+def _same_graph(G, H) -> bool:
+    return G.n == H.n and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(
+            (G.indptr, G.indices, G.weights, G.measure),
+            (H.indptr, H.indices, H.weights, H.measure),
+        )
+    )
+
+
+class TestChunkedSampler:
+    """The random kinds draw their pairs chunk by chunk; every graph must be
+    byte-equal to the all-pairs ``np.triu_indices`` draw, retries included."""
+
+    SMALL = [
+        SyntheticSpec(kind="erdos-renyi", size=2, edge_prob=1.0),
+        SyntheticSpec(kind="erdos-renyi", size=3, edge_prob=0.7, seed=1),
+        SyntheticSpec(kind="erdos-renyi", size=30, edge_prob=0.2, seed=7),
+    ]
+    # First connected sample on the 3rd and the 4th draw.
+    RETRYING = [
+        SyntheticSpec(kind="erdos-renyi", size=30, edge_prob=0.1, seed=0),
+        SyntheticSpec(
+            kind="sbm", block_sizes=(12, 12),
+            block_probs=((0.3, 0.01), (0.01, 0.3)), seed=2,
+        ),
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, ingest.PAIR_CHUNK])
+    @pytest.mark.parametrize("spec", range(len(SMALL) + len(RETRYING)))
+    def test_small_graphs_match_oracle(self, monkeypatch, spec, chunk):
+        spec = (self.SMALL + self.RETRYING)[spec]
+        monkeypatch.setattr(ingest, "PAIR_CHUNK", chunk)
+        expected, draws = triu_sample(spec)
+        assert _same_graph(generate_graph(spec), expected)
+        if spec in self.RETRYING:
+            assert draws > 1
+
+    @pytest.mark.parametrize("chunk", [97, ingest.PAIR_CHUNK])
+    def test_er_700_matches_oracle(self, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "PAIR_CHUNK", chunk)
+        spec = SyntheticSpec(kind="erdos-renyi", size=700, edge_prob=0.02, seed=1)
+        assert _same_graph(generate_graph(spec), triu_sample(spec)[0])
+
+    @pytest.mark.parametrize("chunk", [1009, ingest.PAIR_CHUNK])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_surrogate_matches_oracle(self, monkeypatch, seed, chunk):
+        # 1,009 pairs split most of the surrogate's 2,505-pair rows
+        monkeypatch.setattr(ingest, "PAIR_CHUNK", chunk)
+        spec = surrogate_spec(seed)
+        assert _same_graph(generate_graph(spec), triu_sample(spec)[0])
+
+    @pytest.mark.parametrize("n", [5_000, 20_000])
+    def test_large_sbm_in_bounded_memory(self, n):
+        """Four blocks at mean degree ~11.5. Drawing all n(n-1)/2 pairs at
+        once takes ~40 bytes a pair (500 MB at 5,000 nodes, 8 GB at
+        20,000). The chunked draw may hold two chunk-sized arrays of
+        doubles plus 96 bytes per stored edge for building the graph; it
+        peaks at 5.2 and 18.5 MB."""
+        k, size = 4, n // 4
+        p_in, p_out = 10 / size, 1.5 / (n - size)
+        spec = SyntheticSpec(
+            kind="sbm", block_sizes=(size,) * k,
+            block_probs=tuple(
+                tuple(p_in if a == b else p_out for b in range(k)) for a in range(k)
+            ),
+        )
+        G, peak = traced_peak(lambda: generate_graph(spec))
+        assert G.is_connected
+        bound = 2 * ingest.PAIR_CHUNK * 8 + 96 * G.indices.size
+        assert peak < bound, (peak, bound)
+
+
 class TestRandomFeatures:
     def test_seed_reproducibility(self):
         a = random_features(20, 4, seed=5)
@@ -156,6 +247,9 @@ class TestRandomFeatures:
             random_features(0, 3, seed=0)
         with pytest.raises(ValueError, match="negative"):
             random_features(3, 3, seed=0, scale=-1.0)
+        for scale in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                random_features(3, 3, seed=0, scale=scale)
 
 
 class TestLoadEdgeList:
