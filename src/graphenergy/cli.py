@@ -760,6 +760,8 @@ def cmd_flow(args) -> int:
             raise ValueError(
                 f"energy order must be nonnegative, got {args.energy_order}"
             )
+        if args.d < 1:
+            raise ValueError(f"d must be at least 1, got {args.d}")
         check_feature_scale(args.feature_scale)
         spec = FlowSpec(horizon=args.horizon, dt=args.dt, record_stride=args.stride)
     except ValueError as exc:

@@ -17,10 +17,11 @@ That keeps the stability constraint (effective step times spectral radius)
 satisfied uniformly and reaches long horizons in logarithmically many
 steps. The other flows treat ``dt`` as the plain step size.
 
-Each state's ``Delta X`` is formed once: it drives the heat and gated
+Each state takes one edge pass: the edge differences ``BX`` give both
+``Delta X`` and the order-1 energy. ``Delta X`` drives the heat and gated
 Euler steps, and a recorded state's gate ``∫ |Delta X|^2 dmu`` and order-2
-energy ``gate / n`` reuse it; only the order-1 energy takes its own edge
-pass. The normalized flow forms ``Delta X`` once per record.
+energy ``gate / n`` reuse it. The normalized flow projects each state to
+the sphere once and takes one edge pass per record.
 
 A flow is a stream of records, measured as each one is produced, as in
 :func:`graphenergy.network.forward_trajectory`: ``observe(t, X)`` sees
@@ -42,10 +43,11 @@ import scipy.sparse.linalg
 from graphenergy.graph import (
     WeightedGraph,
     _as_features,
+    _laplacian_and_dirichlet,
+    _squared_row_norms,
     aggregate_apply,
-    derivative_energy,
     integrate,
-    laplacian_apply,
+    laplacian_apply,  # noqa: F401  (perfbench/tracing.py looks it up here)
 )
 
 FLOW_HEAT = "heat"
@@ -164,15 +166,16 @@ def simulate_heat(
 
     steps = int(np.ceil(spec.horizon / dt))
     records = _Records(G, observe)
-    LX = laplacian_apply(G, X)
-    records.add(0.0, X, _gate(G, LX))
+    LX, dirichlet, gate = _measure(G, X)
+    records.add(0.0, X, dirichlet, gate)
     t = 0.0
     for k in range(1, steps + 1):
-        X = X + dt * LX
-        LX = laplacian_apply(G, X)
+        LX *= dt
+        X = X + LX
         t += dt
+        LX, dirichlet, gate = _measure(G, X)
         if k % spec.record_stride == 0 or k == steps:
-            records.add(t, X, _gate(G, LX))
+            records.add(t, X, dirichlet, gate)
     traj = records.trajectory(lam_max)
     _check_monotone_decay(traj)
     return traj
@@ -195,22 +198,21 @@ def simulate_nonlocal(
     X, _ = _as_features(G, X0)
     lam_max, dt_eff = _resolve_step(G, spec)
 
-    LX = laplacian_apply(G, X)
-    gate = _gate(G, LX)
     records = _Records(G, observe)
-    records.add(0.0, X, gate)
+    LX, dirichlet, gate = _measure(G, X)
+    records.add(0.0, X, dirichlet, gate)
     t, k = 0.0, 0
     while t < spec.horizon:
         if gate <= 1e-280:  # stationary: record it again at the horizon
             t = spec.horizon
         else:
-            X = X + dt_eff * LX
+            LX *= dt_eff
+            X = X + LX
             t += dt_eff / gate
             k += 1
-            LX = laplacian_apply(G, X)
-            gate = _gate(G, LX)
+            LX, dirichlet, gate = _measure(G, X)
         if k % spec.record_stride == 0 or t >= spec.horizon:
-            records.add(t, X, gate)
+            records.add(t, X, dirichlet, gate)
     traj = records.trajectory(lam_max)
     _check_monotone_decay(traj)
     return traj
@@ -247,20 +249,22 @@ def simulate_preln_flow(
     radius = np.sqrt(G.n / float(G.measure.sum()))
     steps = int(np.ceil(spec.horizon / dt))
     records = _Records(G, observe)
-    records.add(0.0, X, _gate(G, laplacian_apply(G, X)))
-    masses = [_norm_mass(G, X, radius)]
+    records.add(0.0, X, *_measure(G, X)[1:])
+    projected = _sphere_project(X, radius)
+    masses = [_norm_mass(G, projected)]
     t = 0.0
     for k in range(1, steps + 1):
-        X = X + dt * aggregate_apply(G, _sphere_project(X, radius))
+        X = X + dt * aggregate_apply(G, projected)
+        projected = _sphere_project(X, radius)
         t += dt
         if k % spec.record_stride == 0 or k == steps:
-            records.add(t, X, _gate(G, laplacian_apply(G, X)))
-            masses.append(_norm_mass(G, X, radius))
+            records.add(t, X, *_measure(G, X)[1:])
+            masses.append(_norm_mass(G, projected))
     return records.trajectory(lam_max, np.asarray(masses))
 
 
 def _sphere_project(X: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    norms = np.sqrt(_squared_row_norms(X))[:, None]  # np.linalg.norm(X, axis=1)
     if norms.min() <= 1e-300:
         raise FlowInstabilityError(
             "a feature row collapsed to zero; the sphere projection is undefined"
@@ -268,15 +272,21 @@ def _sphere_project(X: np.ndarray, radius: float) -> np.ndarray:
     return radius * X / norms
 
 
-def _norm_mass(G: WeightedGraph, X: np.ndarray, radius: float) -> float:
-    projected = _sphere_project(X, radius)
-    return float(integrate(G, (projected**2).sum(axis=1)))
+def _norm_mass(G: WeightedGraph, projected: np.ndarray) -> float:
+    return float(integrate(G, _squared_row_norms(projected)))
+
+
+def _measure(G: WeightedGraph, X: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``Delta X``, the order-1 energy and the gate of one state, from one
+    edge pass."""
+    LX, dirichlet = _laplacian_and_dirichlet(G, X)
+    return LX, dirichlet, _gate(G, LX)
 
 
 def _gate(G: WeightedGraph, LX: np.ndarray) -> float:
     """``∫ |Delta X|^2 dmu`` from ``LX = Delta X``. A non-finite value is
     refused, since the gated clock ``t += dt / gate`` would stall on it."""
-    gate = float(G.measure @ (LX**2).sum(axis=1))
+    gate = float(G.measure @ _squared_row_norms(LX))
     if not np.isfinite(gate):
         raise ValueError("∫ |Delta X|^2 dmu is not finite: the state overflowed")
     return gate
@@ -305,14 +315,13 @@ def _resolve_step(G: WeightedGraph, spec: FlowSpec) -> tuple[float, float]:
 
 
 class _Records:
-    """One flow's records, each measured as it is added: its time, gate
-    and order-1 energy are stored, and its state is not."""
+    """One flow's records: each record's time, order-1 energy and gate are
+    stored, and its state is only shown to ``observe``."""
 
     def __init__(self, G, observe):
         self.G, self.observe, self.rows = G, observe, []
 
-    def add(self, t: float, X: np.ndarray, gate: float) -> None:
-        dirichlet = derivative_energy(self.G, X, 1)
+    def add(self, t: float, X: np.ndarray, dirichlet: float, gate: float) -> None:
         if self.observe is not None:
             self.observe(t, X)
         self.rows.append((t, dirichlet, gate))

@@ -21,13 +21,17 @@ The 1/2 in the gradient product is what makes integration by parts exact:
 defined when every vertex satisfies ``sum_j w_ij < mu_i``; rows of ``P``
 are then convex combinations, so constants are fixed points.
 
-Every kernel works on edge differences through one cached signed
-incidence matrix ``B`` (E x n, one row per edge ``i < j``: -1 at ``i``,
-+1 at ``j``) and the edge weights ``w``: ``ΔX = -M⁻¹ Bᵀ (w ⊙ BX)`` and
-``∇X·∇Y = ½ M⁻¹ |B|ᵀ (w ⊙ ⟨BX, BY⟩)`` with ``M = diag(mu)``. A difference
-of equal floats is exactly zero, so constants map to exact zeros; the
-algebraically equal ``AX - DX`` would leave roundoff residue on them.
-Peak memory of a kernel call is a few E x d arrays.
+Every kernel works on edge differences ``BX``, where ``B`` is the signed
+incidence matrix (E x n, one row per edge ``i < j``: -1 at ``i``, +1 at
+``j``) and ``w`` the edge weights: ``ΔX = -M⁻¹ Bᵀ (w ⊙ BX)`` and
+``∇X·∇Y = ½ M⁻¹ |B|ᵀ (w ⊙ ⟨BX, BY⟩)`` with ``M = diag(mu)``. ``BX`` is
+formed by gathering the rows ``X(j)`` and ``X(i)`` of every edge, which
+gives the bits of the sparse product, and ``-Bᵀ W`` is cached on the
+graph. One ``BX`` serves both ``ΔX`` and the order-1 energy, so a flow
+state takes a single edge pass. A difference of equal floats is exactly
+zero, so constants map to exact zeros; the algebraically equal
+``AX - DX`` would leave roundoff residue on them. Peak memory of a kernel
+call is a few E x d arrays.
 
 Feature matrices are plain numpy arrays of shape ``(n,)`` or ``(n, d)``.
 Storage is sorted compressed neighbor lists (CSR triple plus the measure).
@@ -43,6 +47,14 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 DEGREE_PLUS_ONE = "degree-plus-one"
+# The X(i) rows of the edge differences are gathered in blocks of at most
+# this many bytes, so a call holds one E x d array and not two.
+EDGE_BLOCK_BYTES = 1 << 17
+# numpy's sum(axis=1) adds a row of fewer than this many entries left to
+# right, one inner loop per row, and longer rows pairwise. Below it,
+# adding whole columns in order gives the same bits in one pass per
+# column.
+PAIRWISE_WIDTH = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +152,25 @@ class WeightedGraph:
         signs = np.tile([-1.0, 1.0], count)
         rows = np.arange(0, 2 * count + 1, 2)
         return sparse.csr_matrix((signs, ends.ravel(), rows), shape=(count, self.n))
+
+    @cached_property
+    def divergence(self) -> sparse.csr_matrix:
+        """``-Bᵀ W`` as CSR, with ``B`` the :attr:`incidence` and
+        ``W = diag(edge_weights)``, so ``ΔX = M⁻¹ (-Bᵀ W) BX``. Each row
+        lists a vertex's edges in edge order, so a product sums them as
+        ``B.T @ (-w ⊙ Y)`` does, with the same bits. The sign rides on the
+        weights, so constants give +0.0 rather than -0.0.
+
+        Row ``v`` has one entry per stored edge ``v -> u``: its edges to
+        lower ``u`` precede its own block of edges, so sorted neighbors
+        are edges in edge order. The entry is ``w`` when ``v`` is the lower
+        endpoint (``-(-1) w``) and ``-w`` when it is the higher one.
+        """
+        data = np.where(self.indices > self.edge_sources, self.weights, -self.weights)
+        return sparse.csr_matrix(
+            (data, self.undirected_edge_ids, self.indptr),
+            shape=(self.n, self.edge_weights.size),
+        )
 
     @cached_property
     def edge_weights(self) -> np.ndarray:
@@ -266,12 +297,13 @@ def grad_inner_product(G: WeightedGraph, X, Y) -> np.ndarray:
     ``(1/2) sum_j (w_ij/mu_i) <X(j)-X(i), Y(j)-Y(i)>``; always nonnegative
     when ``Y is X``.
     """
-    B = G.incidence
-    dx = B @ _as_features(G, X)[0]
-    dy = dx if Y is X else B @ _as_features(G, Y)[0]
+    dx = _edge_differences(G, _as_features(G, X)[0])
+    dy = dx if Y is X else _edge_differences(G, _as_features(G, Y)[0])
     per_edge = G.edge_weights * np.einsum("ed,ed->e", dx, dy)
     # |B|^T: each edge's value lands on both of its endpoints
-    at_vertices = np.bincount(B.indices, np.repeat(per_edge, 2), minlength=G.n)
+    at_vertices = np.bincount(
+        G.incidence.indices, np.repeat(per_edge, 2), minlength=G.n
+    )
     return 0.5 * at_vertices / G.measure
 
 
@@ -289,19 +321,12 @@ def derivative_energy(G: WeightedGraph, X, m: int) -> float:
     Z, _ = _as_features(G, X)
     if m == 0:
         mean = (G.measure @ Z) / G.measure.sum()
-        total = float(G.measure @ ((Z - mean) ** 2).sum(axis=1))
-    else:
-        for _ in range(m // 2):
-            Z = -laplacian_apply(G, Z)
-        if m % 2 == 0:
-            total = float(G.measure @ (Z**2).sum(axis=1))
-        else:
-            BZ = G.incidence @ Z
-            total = float(G.edge_weights @ (BZ**2).sum(axis=1))
-    energy = total / G.n
-    if not np.isfinite(energy):
-        raise ValueError(f"order-{m} derivative energy is not finite")
-    return energy
+        return _finite_energy(G, G.measure @ _squared_row_norms(Z - mean), m)
+    for _ in range(m // 2):
+        Z = -laplacian_apply(G, Z)
+    if m % 2 == 0:
+        return _finite_energy(G, G.measure @ _squared_row_norms(Z), m)
+    return _edge_energy(G, _edge_differences(G, Z), m)
 
 
 def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
@@ -398,10 +423,61 @@ def _row_sums(G: WeightedGraph, per_edge: np.ndarray) -> np.ndarray:
 
 def _laplacian(G: WeightedGraph, X2: np.ndarray) -> np.ndarray:
     """``-M^{-1} B^T (w ⊙ BX)`` on an ``(n, d)`` array."""
-    B = G.incidence
-    diffs = B @ X2
-    # the sign rides on the weights, so constants give +0.0 rather than -0.0
-    diffs *= -G.edge_weights[:, None]
-    out = B.T @ diffs
+    return _laplacian_of_differences(G, _edge_differences(G, X2))
+
+
+def _laplacian_and_dirichlet(
+    G: WeightedGraph, X2: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """``ΔX`` and the order-1 energy of an ``(n, d)`` array from one edge
+    pass, with the bits of ``laplacian_apply`` and ``derivative_energy``."""
+    diffs = _edge_differences(G, X2)
+    dirichlet = _edge_energy(G, diffs, 1)
+    return _laplacian_of_differences(G, diffs), dirichlet
+
+
+def _laplacian_of_differences(G: WeightedGraph, diffs: np.ndarray) -> np.ndarray:
+    """``-M^{-1} B^T (w ⊙ diffs)``."""
+    out = G.divergence @ diffs
     out /= G.measure[:, None]
     return out
+
+
+def _edge_differences(G: WeightedGraph, X2: np.ndarray) -> np.ndarray:
+    """``BX`` of an ``(n, d)`` array: row k is ``X(j) - X(i)`` for edge
+    ``k = (i, j)`` of :attr:`WeightedGraph.edge_ends`.
+
+    Two row gathers give the bits of ``G.incidence @ X2``, except that a
+    zero difference may keep the sign of ``-0.0 - 0.0``; the ``X(i)`` rows
+    come in blocks of at most ``EDGE_BLOCK_BYTES``.
+    """
+    i, j = G.edge_ends
+    out = np.take(X2, j, axis=0)
+    block = max(1, EDGE_BLOCK_BYTES // max(1, X2.shape[1] * X2.itemsize))
+    for lo in range(0, i.size, block):
+        out[lo : lo + block] -= np.take(X2, i[lo : lo + block], axis=0)
+    return out
+
+
+def _squared_row_norms(A: np.ndarray) -> np.ndarray:
+    """``(A**2).sum(axis=1)`` of a 2-D array, bit for bit; rows narrower
+    than ``PAIRWISE_WIDTH`` are summed a column at a time."""
+    if not 0 < A.shape[1] < PAIRWISE_WIDTH:
+        return (A**2).sum(axis=1)
+    out = A[:, 0] * A[:, 0]
+    for k in range(1, A.shape[1]):
+        out += A[:, k] * A[:, k]
+    return out
+
+
+def _edge_energy(G: WeightedGraph, diffs: np.ndarray, m: int) -> float:
+    """Odd order-m energy ``(1/n) Σ_e w_e |(BZ)_e|²`` from ``diffs = BZ``,
+    ``Z = (-Δ)^{(m-1)/2} X``."""
+    return _finite_energy(G, G.edge_weights @ _squared_row_norms(diffs), m)
+
+
+def _finite_energy(G: WeightedGraph, total, m: int) -> float:
+    energy = float(total) / G.n
+    if not np.isfinite(energy):
+        raise ValueError(f"order-{m} derivative energy is not finite")
+    return energy

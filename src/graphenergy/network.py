@@ -260,7 +260,9 @@ def nonlocal_message_passing(
     """Gated message passing; returns the output and per-head multipliers.
 
     Head h is scaled by ``s_h = ||P_h X - X||_F^2 / n``, which is O(nd)
-    extra work per head on top of the aggregation itself.
+    extra work per head on top of the aggregation itself and no extra n x d
+    array: once ``P_h X V`` is taken, ``P_h X`` is turned into the squared
+    update in place, and the head output is scaled in place.
     """
     n = X.shape[0]
     parts = []
@@ -269,9 +271,13 @@ def nonlocal_message_passing(
         zip(_head_operators(X, layer, G, kind), layer.values)
     ):
         PX = P @ X
-        s = float(((PX - X) ** 2).sum()) / n
+        head = PX @ V
+        PX -= X
+        PX *= PX
+        s = float(PX.sum()) / n
         mults[h] = s
-        parts.append(s * (PX @ V))
+        head *= s
+        parts.append(head)
     return np.concatenate(parts, axis=1) @ layer.out_weight, mults
 
 

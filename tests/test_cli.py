@@ -614,6 +614,8 @@ class TestFlow:
             ("--stride", "0", "record_stride must be at least 1"),
             ("--feature-scale", "nan", "feature scale must be finite"),
             ("--feature-scale", "inf", "feature scale must be finite"),
+            ("--d", "0", "d must be at least 1, got 0"),
+            ("--d", "-3", "d must be at least 1, got -3"),
         ],
     )
     def test_bad_flow_argument_fails_before_building_graph(

@@ -16,6 +16,7 @@ from graphenergy.dynamics import (
     simulate_nonlocal,
     simulate_preln_flow,
 )
+from graphenergy import graph as graph_module
 from graphenergy.graph import (
     aggregate_apply,
     build_weighted_graph,
@@ -338,6 +339,62 @@ class TestStream:
         assert traj.times.size > 200
         assert peak < STATE_TEMPORARIES * state + 64 * n * 8  # 89.6 MB
         assert traj.dirichlet[-1] < traj.dirichlet[0]
+
+
+class TestOneEdgePassPerState:
+    """Each flow state's edge differences ``BX`` are formed once: they give
+    the step's ``Delta X``, and a recorded state's order-1 energy and gate
+    come from the same pass."""
+
+    @staticmethod
+    def _count_edge_passes(monkeypatch, G):
+        # Edge differences are gathered by graph._edge_differences; the
+        # sparse product incidence @ X would form them too, so count both.
+        passes = []
+
+        def gathered(G, X2):
+            passes.append(1)
+            return original(G, X2)
+
+        class CountingIncidence:
+            def __init__(self, B):
+                self.B = B
+
+            def __matmul__(self, X):
+                if isinstance(X, np.ndarray):
+                    passes.append(1)
+                return self.B @ X
+
+            def __getattr__(self, name):
+                return getattr(self.B, name)
+
+        original = graph_module._edge_differences
+        monkeypatch.setattr(graph_module, "_edge_differences", gathered)
+        monkeypatch.setitem(G.__dict__, "incidence", CountingIncidence(G.incidence))
+        return passes
+
+    @pytest.mark.parametrize(
+        "simulate, seed", [(simulate_nonlocal, 51), (simulate_heat, 53)]
+    )
+    def test_one_pass_per_step_recorded_or_not(self, monkeypatch, simulate, seed):
+        G, _ = random_graph(np.random.default_rng(seed), n=12)
+        X0 = np.random.default_rng(seed + 1).normal(size=(12, 4))
+        passes = self._count_edge_passes(monkeypatch, G)
+        every = simulate(G, X0, FlowSpec(horizon=2.0))
+        assert len(passes) == every.times.size  # one per state, all recorded
+        passes.clear()
+        strided = simulate(G, X0, FlowSpec(horizon=2.0, record_stride=3))
+        assert strided.times.size < every.times.size
+        assert len(passes) == every.times.size
+
+    def test_normalized_flow_one_pass_per_step_and_record(self, monkeypatch):
+        G, _ = random_graph(np.random.default_rng(55), n=12, admissible=True)
+        X0 = np.random.default_rng(56).normal(size=(12, 4))
+        passes = self._count_edge_passes(monkeypatch, G)
+        spec = FlowSpec(horizon=1.0, dt=0.1, record_stride=3)
+        traj = simulate_preln_flow(G, X0, spec)
+        assert traj.times.size == 5  # steps 0, 3, 6, 9 and 10
+        assert len(passes) == 10 + 5  # one aggregation per step, one per record
 
 
 class TestPrelnFlow:

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from graphenergy import graph
 from graphenergy.graph import (
     WeightedGraph,
+    _edge_differences,
+    _squared_row_norms,
     aggregate_apply,
     build_weighted_graph,
     canonical_energy_graph,
@@ -22,6 +25,8 @@ from graphenergy.graph import (
     integrate,
     laplacian_apply,
 )
+
+from graphenergy.ingest import SyntheticSpec, generate_graph
 
 from conftest import (
     P3_EDGES,
@@ -275,6 +280,56 @@ class TestKernelEdgeCases:
         assert peak < 2 * (edges + n) * d * 8
         ring_laplacian = (np.roll(X, 1, axis=0) + np.roll(X, -1, axis=0) - 2 * X) / 3
         assert_allclose(out, ring_laplacian, rtol=1e-12, atol=1e-12)
+
+
+class TestEdgePass:
+    """The gathered edge differences and the column-wise row sums give the
+    bits of the sparse product and of numpy's row sum, on both sides of
+    ``PAIRWISE_WIDTH``."""
+
+    WIDTHS = range(1, 13)
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_edge_differences_equal_incidence_product(self, d):
+        rng = np.random.default_rng(45)
+        G, _ = random_graph(rng, 40)
+        X = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-6, 6, size=(40, d))
+        diffs = _edge_differences(G, X)
+        assert diffs.dtype == np.float64 and diffs.flags.c_contiguous
+        assert diffs.tobytes() == (G.incidence @ X).tobytes()
+
+    def test_edge_differences_split_into_blocks(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        G, _ = random_graph(rng, 40)
+        X = rng.normal(size=(40, 3))
+        monkeypatch.setattr(graph, "EDGE_BLOCK_BYTES", 4 * 3 * 8)  # 4 edges
+        assert G.edge_ends[0].size % 4 != 0
+        assert _edge_differences(G, X).tobytes() == (G.incidence @ X).tobytes()
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_squared_row_norms_equal_numpy_row_sum(self, d):
+        rng = np.random.default_rng(47)
+        A = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-8, 8, size=(500, d))
+        assert _squared_row_norms(A).tobytes() == (A**2).sum(axis=1).tobytes()
+
+    def test_edgeless_graph(self):
+        G = build_weighted_graph([], n=4)
+        X = np.random.default_rng(48).normal(size=(4, 3))
+        diffs = _edge_differences(G, X)
+        assert diffs.shape == (0, 3)
+        assert _squared_row_norms(diffs).shape == (0,)
+        assert derivative_energy(G, X, 1) == 0.0
+        assert np.all(laplacian_apply(G, X) == 0.0)
+
+    def test_wide_rows_hold_one_edge_array(self):
+        # The X(j) gather is the output; the X(i) rows come in blocks of at
+        # most EDGE_BLOCK_BYTES, so no second E x d array is held.
+        n, d = 100_000, 32
+        ring = generate_graph(SyntheticSpec(kind="ring", size=n))
+        ring.edge_ends  # built before the measurement
+        X = np.random.default_rng(49).normal(size=(n, d))
+        diffs, peak = traced_peak(lambda: _edge_differences(ring, X))
+        assert peak < diffs.nbytes + graph.EDGE_BLOCK_BYTES + 64 * 1024
 
 
 def _ibp_defect(G, X, Y):
