@@ -38,7 +38,6 @@ from graphenergy.diagnostics import (
     fit_decay,
     prune_scan,
     relative_change_series,
-    unit_row_gram,
     unit_rows,
 )
 from graphenergy.dynamics import (
@@ -206,10 +205,11 @@ def run_sweep(
     Parameters are drawn layer by layer from one seeded stream, so a
     depth-d stack is the first d layers of a deeper one with the same
     seed: each (variant, seed) runs and measures once at the deepest
-    depth, and every depth takes its prefix. Energies are measured on a
-    second thread while the next layers run, and of the states the cosine
-    matrices read only their unit-row forms are kept. One progress line
-    per (variant, seed) goes to stderr.
+    depth, and every depth takes its prefix. Energies and cosine Gram
+    entries are taken on a second thread while the next layers run. The
+    memory a run holds does not grow with depth: one layer's parameters,
+    the states in flight, and the unit-row forms still awaiting a cosine
+    partner. One progress line per (variant, seed) goes to stderr.
     """
     X = random_features(
         G.n, spec.input_dim, seed=spec.feature_seed, scale=spec.feature_scale
@@ -226,7 +226,7 @@ def run_sweep(
             finished = pool.map(_run_trajectory, packed)
         else:
             finished = map(_run_trajectory, packed)
-        for i, ((variant, seed), (jobs, seconds, busy, kept, produced)) in enumerate(
+        for i, ((variant, seed), (jobs, seconds, busy, live, produced)) in enumerate(
             zip(units, finished), start=1
         ):
             failed = [str(j.depth) for j in jobs if not j.ok]
@@ -235,7 +235,7 @@ def run_sweep(
                 f"sweep [{i}/{len(units)}] {variant} seed {seed} depths "
                 f"{','.join(str(d) for d in spec.depths)}: {outcome}, "
                 f"{seconds:.1f} s, measuring {busy:.1f} s, "
-                f"kept {kept} of {produced} states",
+                f"at most {live} of {produced} states live",
                 file=sys.stderr,
             )
             cells.update(((variant, j.depth, seed), j) for j in jobs)
@@ -255,17 +255,19 @@ def run_sweep(
 def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     """Run one (variant, seed) at the deepest depth and build every
     depth's job from its prefix; returns the jobs, the wall seconds, the
-    seconds spent measuring, and how many of the produced states were
-    kept for the cosine matrices.
+    seconds spent measuring, the most unit-row forms held at once, and
+    how many states were produced.
 
     Each state's energy is measured, and with ``dump_states`` its file
     written into every depth that reaches it, on a second thread while the
     forward pass computes the next layers. Measurements run in order, and
     the forward pass hands over state k only once state k-2 is measured,
-    so at most two states are in flight. No state itself is kept: each
-    state in the union of the depths' cosine subsamples is normalized to
-    unit rows once, as it is measured, and every depth's cosine matrix is
-    the Gram of its subsample of those.
+    so at most two states are in flight. No state is kept. The cosine
+    matrices are built from Gram entries taken as the states arrive: a
+    state in some depth's cosine subsample is normalized to unit rows,
+    paired with each earlier state it shares a subsample with, and its
+    form is dropped once its last partner has arrived. So the forms held
+    are bounded by the subsample cap, whatever the depth.
 
     A non-finite layer k fails only the depths that reach it; the k
     energies measured before it still serve every shallower depth, and a
@@ -276,24 +278,42 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     G, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
     cfg = replace(spec.model_configs[variant], seed=seed)
-    cosine_layers = {
-        k for depth in spec.depths for k in _subsample(depth + 1, COSINE_LAYER_CAP)
-    } if spec.write_cosine else set()
+    partners, last = _cosine_partners(
+        [_subsample(depth + 1, COSINE_LAYER_CAP) for depth in spec.depths]
+        if spec.write_cosine else []
+    )
     dumps = {
         depth: os.path.join(_job_dir(out_dir, variant, depth, seed), "states")
         for depth in spec.depths
     } if out_dir is not None and spec.dump_states else {}
     canonical = canonical_energy_graph(G)
     energies = []
-    units = {}
+    forms = {}  # the live unit-row forms, by layer
+    gram = {}  # (j, k) -> cosine entry, j <= k
+    live = 0
     busy = 0.0
 
     def measure(k, state):
-        nonlocal busy
+        nonlocal busy, live
         begin = time.perf_counter()
         energies.append(derivative_energy(canonical, state, spec.energy_order))
-        if k in cosine_layers:
-            units[k] = unit_rows(state)
+        if k in partners:
+            # unit_row_gram's entries, bit for bit: NaN where a state has
+            # a zero row, and exactly 1 on the rest of the diagonal
+            form = unit_rows(state)
+            gram[k, k] = np.nan if form is None else 1.0
+            if form is not None:
+                forms[k] = form
+                live = max(live, len(forms))
+            for j in partners[k]:
+                if form is None or j not in forms:
+                    gram[j, k] = np.nan
+                else:
+                    value = float(np.einsum("ij,ij->", forms[j], form))
+                    gram[j, k] = value / form.shape[0]
+            for j in (*partners[k], k):
+                if last[j] == k:
+                    forms.pop(j, None)
         for depth, states_dir in dumps.items():
             if k == 0:
                 ensure_directory(states_dir)
@@ -366,10 +386,21 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
                 stall=changes.verdict,
             )
             if out_dir is not None:
-                _write_job_files(out_dir, job, units, changes.values, spec, config_hash)
+                _write_job_files(out_dir, job, gram, changes.values, spec, config_hash)
         jobs.append(job)
-    kept = sum(k < reached for k in units)
-    return jobs, time.perf_counter() - start, busy, kept, reached
+    return jobs, time.perf_counter() - start, busy, live, reached
+
+
+def _cosine_partners(subsamples):
+    """For each layer of some subsample, the earlier layers it shares a
+    subsample with (``partners``), and the last layer that pairs with it
+    (``last``, itself when no later layer does)."""
+    partners, last = {}, {}
+    for layers in subsamples:
+        for t, k in enumerate(layers):
+            partners.setdefault(k, set()).update(layers[:t])
+            last[k] = max(last.get(k, k), layers[-1])
+    return partners, last
 
 
 def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
@@ -377,7 +408,7 @@ def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
 
 
 def _write_job_files(
-    out_dir, job, units, changes, spec: SweepSpec, config_hash
+    out_dir, job, gram, changes, spec: SweepSpec, config_hash
 ) -> None:
     directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
     ensure_directory(directory)
@@ -397,7 +428,7 @@ def _write_job_files(
     )
     if spec.write_cosine:
         keep = _subsample(job.depth + 1, COSINE_LAYER_CAP)
-        matrix = unit_row_gram([units[k] for k in keep])
+        matrix = np.array([[gram[min(j, k), max(j, k)] for k in keep] for j in keep])
         _write_csv(
             os.path.join(directory, "cosine.csv"),
             meta + [f"# layers {','.join(str(int(k)) for k in keep)}"],

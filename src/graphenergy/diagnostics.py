@@ -15,7 +15,7 @@ on, so numbers from different architectures are comparable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -349,8 +349,11 @@ def prune_scan(
     indices are 1-based, matching ``forward_trajectory``. The intact stack
     runs once and keeps only state k-1 for each requested layer k, next to
     its decoder output; each pruned stack resumes from that state, so only
-    the layers after the skipped one are recomputed.
+    the layers after the skipped one are recomputed. The resumed stacks
+    read most layers again, so the layers are drawn once, up front, and
+    held for the scan.
     """
+    params = replace(params, layers=tuple(params.layers))
     layers = tuple(layers)
     intact = forward_trajectory(
         params, config, G, X_in, keep={layer - 1 for layer in layers}

@@ -353,7 +353,8 @@ def canonical_energy_graph(G: WeightedGraph) -> WeightedGraph:
 
 def _parse_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if isinstance(edges, np.ndarray):
-        arr = np.asarray(edges, dtype=float)
+        # integer endpoints stay integers; anything else is checked below
+        arr = edges if edges.dtype.kind in "iu" else edges.astype(float)
         if arr.size == 0:
             arr = arr.reshape(0, 3)
     else:
@@ -368,7 +369,9 @@ def _parse_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ValueError("edge array must have shape (E, 2) or (E, 3)")
     ij = arr[:, :2]
-    if not np.all(np.isfinite(ij)) or np.any(ij != np.floor(ij)):
+    if arr.dtype.kind == "f" and (
+        not np.all(np.isfinite(ij)) or np.any(ij != np.floor(ij))
+    ):
         raise ValueError("edge endpoints must be integers")
     src = ij[:, 0].astype(np.int64)
     dst = ij[:, 1].astype(np.int64)
@@ -377,25 +380,31 @@ def _parse_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _symmetric_csr(n, src, dst, wgt):
-    u = np.concatenate([src, dst])
-    v = np.concatenate([dst, src])
-    w = np.concatenate([wgt, wgt])
-    order = np.lexsort((v, u))
-    u, v, w = u[order], v[order], w[order]
-    if u.size:
-        dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    """CSR arrays of both orientations of every edge, rows and columns
+    ascending, duplicates merged. Entries are sorted by the one key
+    ``u * n + v``; a stable sort keeps the input order among duplicates."""
+    key = np.concatenate([src * n + dst, dst * n + src])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    w = np.concatenate([wgt, wgt])[order]
+    del order
+    if key.size:
+        dup = key[1:] == key[:-1]
         conflict = dup & (w[1:] != w[:-1])
         if conflict.any():
             k = int(conflict.argmax()) + 1
+            u, v = divmod(int(key[k]), n)
             raise ValueError(
-                f"edge ({u[k]}, {v[k]}) listed with conflicting weights "
+                f"edge ({u}, {v}) listed with conflicting weights "
                 f"{w[k - 1]!r} and {w[k]!r}"
             )
         keep = np.concatenate([[True], ~dup])
-        u, v, w = u[keep], v[keep], w[keep]
+        del dup, conflict
+        key, w = key[keep], w[keep]
+    u, v = np.divmod(key, n)
     counts = np.bincount(u, minlength=n) if u.size else np.zeros(n, dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return indptr, np.ascontiguousarray(v), np.ascontiguousarray(w)
+    return indptr, v, np.ascontiguousarray(w)
 
 
 def _as_features(G: WeightedGraph, X) -> tuple[np.ndarray, bool]:

@@ -24,13 +24,17 @@ it arrives and holds only what its writers read later. A non-finite
 state raises with its layer index alone: the observer has already seen
 the finite prefix.
 
-There is no training here. Parameters are drawn once from a seeded
-generator so runs are reproducible bitwise.
+There is no training here. Parameters come from one seeded generator
+so runs are reproducible bitwise; each layer's are drawn when the stream
+reaches it, so neither the states nor the parameters a pass holds grow
+with depth.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container
+import math
+import operator
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,11 +123,16 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class ModelParams:
+    """A stack's parameters. :func:`init_model` fills ``layers`` with a
+    :class:`DrawnLayers` that draws each layer when it is read; any other
+    sequence of :class:`LayerParams` (a tuple with one layer replaced, in
+    tests) works the same."""
+
     encoder_w1: np.ndarray
     encoder_b1: np.ndarray
     encoder_w2: np.ndarray
     encoder_b2: np.ndarray
-    layers: tuple[LayerParams, ...]
+    layers: Sequence[LayerParams]
     decoder_w: np.ndarray
     decoder_b: np.ndarray
 
@@ -153,63 +162,116 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
 
 
 def init_model(config: ModelConfig) -> ModelParams:
-    """Draw all parameters from one seeded PCG64 stream.
+    """Draw the parameters from one seeded PCG64 stream: the encoder, then
+    ``config.depth`` layers, then the decoder.
 
     Weight matrices are variance-scaled uniform, biases zero, norm gains
     one. The draw order is fixed, so equal seeds give bitwise-equal
-    parameters. Layers are drawn in order between the encoder and the
-    decoder, so a depth-d stack's layers are the first d layers of any
-    deeper stack with the same seed (its decoder is not); sweeps rely on
-    this to take shallow depths as prefixes of the deepest run.
+    parameters, and a depth-d stack's layers are the first d layers of
+    any deeper stack with the same seed (its decoder is not); sweeps rely
+    on this to take shallow depths as prefixes of the deepest run.
+
+    The encoder and decoder are drawn here. The layers are drawn when
+    they are read (see :class:`DrawnLayers`), so a forward pass holds one
+    layer's parameters at a time, whatever the depth. The decoder is
+    drawn after the stream is advanced past every layer's draws.
     """
     rng = np.random.default_rng(config.seed)
-    d, dh, e = config.hidden_dim, config.head_dim, FFN_EXPANSION
-
+    d = config.hidden_dim
     enc_w1 = glorot_uniform(rng, config.input_dim, d, (config.input_dim, d))
     enc_w2 = glorot_uniform(rng, d, d, (d, d))
-
-    layers = []
-    for _ in range(config.depth):
-        heads = []
-        for _ in range(config.heads):
-            if config.attention.variant == VARIANT_ADDITIVE:
-                heads.append(AttentionParams(
-                    weight=glorot_uniform(rng, d, dh, (d, dh)),
-                    attn_vector=glorot_uniform(rng, 2 * dh, 1, (2 * dh,)),
-                ))
-            elif config.attention.variant == VARIANT_DOT:
-                heads.append(AttentionParams(
-                    key=glorot_uniform(rng, d, dh, (d, dh)),
-                    query=glorot_uniform(rng, d, dh, (d, dh)),
-                ))
-            else:
-                heads.append(AttentionParams())
-        values = tuple(
-            glorot_uniform(rng, d, dh, (d, dh)) for _ in range(config.heads)
-        )
-        layers.append(LayerParams(
-            attention=tuple(heads),
-            values=values,
-            out_weight=glorot_uniform(rng, d, d, (d, d)),
-            ffn_w1=glorot_uniform(rng, d, e * d, (d, e * d)),
-            ffn_b1=np.zeros(e * d),
-            ffn_w2=glorot_uniform(rng, e * d, d, (e * d, d)),
-            ffn_b2=np.zeros(d),
-            norm1_gain=np.ones(d),
-            norm1_bias=np.zeros(d),
-            norm2_gain=np.ones(d),
-            norm2_bias=np.zeros(d),
-        ))
-
+    layers = DrawnLayers(config, rng.bit_generator.state)
+    rng.bit_generator.advance(config.depth * layers.draws_per_layer)
     dec_w = glorot_uniform(rng, d, config.output_dim, (d, config.output_dim))
     return ModelParams(
         encoder_w1=enc_w1,
         encoder_b1=np.zeros(d),
         encoder_w2=enc_w2,
         encoder_b2=np.zeros(d),
-        layers=tuple(layers),
+        layers=layers,
         decoder_w=dec_w,
         decoder_b=np.zeros(config.output_dim),
+    )
+
+
+class DrawnLayers(Sequence):
+    """The ``config.depth`` layers of :func:`init_model`, each drawn anew
+    whenever it is read.
+
+    ``state`` is the stream's state after the encoder. Layer k is drawn
+    from that state advanced past k layers' draws: every uniform double
+    takes one 64-bit step of PCG64, so k layers take ``k *
+    draws_per_layer`` steps, and the result is bitwise the layer a
+    sequential draw gives. Integer indices (negative ones too) and slices
+    work; a slice is a tuple. Nothing is cached.
+    """
+
+    def __init__(self, config: ModelConfig, state: dict):
+        counter = _DrawCounter()
+        _draw_layer(counter, config)
+        self.draws_per_layer = counter.draws
+        self._config = config
+        self._state = state
+
+    def __len__(self) -> int:
+        return self._config.depth
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"layer index out of range for depth {len(self)}")
+        bits = np.random.PCG64()
+        bits.state = self._state
+        bits.advance(k * self.draws_per_layer)
+        return _draw_layer(np.random.Generator(bits), self._config)
+
+
+class _DrawCounter:
+    """Stands in for the generator in :func:`_draw_layer` and counts the
+    uniform doubles a layer takes."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def uniform(self, low, high, size):
+        self.draws += math.prod(size)
+        return np.zeros(size)
+
+
+def _draw_layer(rng, config: ModelConfig) -> LayerParams:
+    """One hidden layer's parameters, drawn from ``rng`` in fixed order."""
+    d, dh, e = config.hidden_dim, config.head_dim, FFN_EXPANSION
+    heads = []
+    for _ in range(config.heads):
+        if config.attention.variant == VARIANT_ADDITIVE:
+            heads.append(AttentionParams(
+                weight=glorot_uniform(rng, d, dh, (d, dh)),
+                attn_vector=glorot_uniform(rng, 2 * dh, 1, (2 * dh,)),
+            ))
+        elif config.attention.variant == VARIANT_DOT:
+            heads.append(AttentionParams(
+                key=glorot_uniform(rng, d, dh, (d, dh)),
+                query=glorot_uniform(rng, d, dh, (d, dh)),
+            ))
+        else:
+            heads.append(AttentionParams())
+    values = tuple(glorot_uniform(rng, d, dh, (d, dh)) for _ in range(config.heads))
+    return LayerParams(
+        attention=tuple(heads),
+        values=values,
+        out_weight=glorot_uniform(rng, d, d, (d, d)),
+        ffn_w1=glorot_uniform(rng, d, e * d, (d, e * d)),
+        ffn_b1=np.zeros(e * d),
+        ffn_w2=glorot_uniform(rng, e * d, d, (e * d, d)),
+        ffn_b2=np.zeros(d),
+        norm1_gain=np.ones(d),
+        norm1_bias=np.zeros(d),
+        norm2_gain=np.ones(d),
+        norm2_bias=np.zeros(d),
     )
 
 

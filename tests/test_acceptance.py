@@ -101,7 +101,7 @@ def test_criterion_10_gating_overhead_scaling():
 
     start = time.perf_counter()
     kind = AttentionKind(variant="san")
-    plan = {1000: (25, 15), 10000: (8, 13), 100000: (3, 9)}
+    plan = {1000: (100, 15), 10000: (8, 13), 100000: (3, 9)}
 
     def window(fn, calls):
         t0 = time.perf_counter()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import sys
@@ -11,7 +12,13 @@ import graphenergy.cli as cli
 import graphenergy.network as network
 from graphenergy.attention import AttentionKind
 from graphenergy.cli import SweepSpec, main, run_sweep, surrogate_spec
-from graphenergy.diagnostics import energy_series, fit_decay, relative_change_series
+from graphenergy.diagnostics import (
+    energy_series,
+    fit_decay,
+    relative_change_series,
+    unit_row_gram,
+    unit_rows,
+)
 from graphenergy.dynamics import FlowSpec, simulate_heat
 from graphenergy.graph import canonical_energy_graph, derivative_energy
 from graphenergy.ingest import (
@@ -419,6 +426,84 @@ class TestSweepPrefixes:
         assert seconds >= 0.1  # nine states at 0.02 s each
 
 
+class TestSweepCosine:
+    """Each depth's cosine matrix, built from Gram entries taken as the
+    states arrive, is ``unit_row_gram`` of that depth's subsample, bit for
+    bit."""
+
+    SPEC = SweepSpec(
+        depths=(2, 20, 40), variants=("post_ln",), seeds=(0,),
+        hidden_dim=8, input_dim=4, output_dim=3,
+    )
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_graph(SyntheticSpec(
+            kind="sbm", block_sizes=(15, 15),
+            block_probs=((0.4, 0.05), (0.05, 0.4)), seed=0,
+        ))
+
+    def expected_rows(self, G, X, params, depth):
+        spec = self.SPEC
+        cfg = ModelConfig(
+            input_dim=spec.input_dim, output_dim=spec.output_dim,
+            depth=max(spec.depths), hidden_dim=spec.hidden_dim, seed=0,
+        )
+        states = forward_trajectory(params or init_model(cfg), cfg, G, X).states
+        keep = cli._subsample(depth + 1, cli.COSINE_LAYER_CAP)
+        matrix = unit_row_gram([unit_rows(states[k]) for k in keep])
+        return [[repr(float(x)) for x in row] for row in matrix]
+
+    def written_rows(self, out, depth):
+        path = out / "post_ln" / f"depth-{depth:03d}" / "seed-00" / "cosine.csv"
+        return csv_columns(path)[1]
+
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_matrices_match_unit_row_gram(
+        self, graph, tmp_path, monkeypatch, zero_row
+    ):
+        X = random_features(graph.n, self.SPEC.input_dim,
+                            seed=self.SPEC.feature_seed)
+        if zero_row:  # the encoder maps a zero input row to a zero row
+            X[3] = 0.0
+            monkeypatch.setattr(cli, "random_features", lambda *a, **k: X.copy())
+        result = run_sweep(graph, self.SPEC, out_dir=str(tmp_path))
+        assert result.all_ok
+        for depth in self.SPEC.depths:
+            rows = self.written_rows(tmp_path, depth)
+            assert rows == self.expected_rows(graph, X, None, depth)
+            assert len(rows) == min(depth + 1, cli.COSINE_LAYER_CAP)
+            assert (rows[0][0] == "nan") == zero_row  # X^0 is in every subsample
+            assert rows[1][1] == "1.0"
+
+    def test_failed_deepest_depth_keeps_shallow_matrices(
+        self, graph, tmp_path, monkeypatch
+    ):
+        real = cli.init_model
+        poisoned = {}
+
+        def poison(config):
+            params = real(config)
+            layers = list(params.layers)
+            layers[29] = replace(layers[29], out_weight=layers[29].out_weight * np.inf)
+            poisoned["params"] = replace(params, layers=tuple(layers))
+            return poisoned["params"]
+
+        monkeypatch.setattr(cli, "init_model", poison)
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = run_sweep(graph, self.SPEC, out_dir=str(tmp_path))
+        assert [(j.depth, j.ok, j.layer) for j in result.jobs] == [
+            (2, True, None), (20, True, None), (40, False, 30)]
+        X = random_features(graph.n, self.SPEC.input_dim,
+                            seed=self.SPEC.feature_seed)
+        shallow = replace(poisoned["params"], layers=poisoned["params"].layers[:29])
+        for depth in (2, 20):
+            rows = self.written_rows(tmp_path, depth)
+            assert rows == self.expected_rows(graph, X, shallow, depth)
+        assert not (tmp_path / "post_ln" / "depth-040" / "seed-00" / "cosine.csv"
+                    ).exists()
+
+
 class TestBlasThreads:
     """A command runs numpy's OpenBLAS on one thread and then restores the
     thread count it found."""
@@ -463,46 +548,83 @@ class TestBlasThreads:
 
 
 class TestSweepMemory:
-    """A sweep holds only what its writers read: one unit-row form of each
-    state in the union of the depths' cosine subsamples, or nothing
-    without cosine matrices. Peaks are traced allocations while the sweep
-    runs; the forward pass also holds the model's parameters, and the
-    cosine writer reads the kept forms without copying them."""
+    """A sweep's memory does not grow with depth. The forward pass holds
+    one layer's parameters at a time, and the cosine matrices hold only
+    the unit-row forms whose partners have not all arrived yet: at most
+    the subsample cap, or nothing without cosine matrices. Peaks are
+    traced allocations while the sweep runs."""
 
     N, HIDDEN, DEPTHS = 3000, 16, (2, 64)
 
     @pytest.fixture(scope="class")
     def ring(self):
-        return generate_graph(SyntheticSpec(kind="ring", size=self.N, seed=0))
+        G = generate_graph(SyntheticSpec(kind="ring", size=self.N, seed=0))
+        run_sweep(G, self.spec((1,), False))  # build the graph's caches
+        return G
 
-    def peak_and_bound(self, G, tmp_path, write_cosine):
-        spec = SweepSpec(
-            depths=self.DEPTHS, variants=("post_ln",), seeds=(0,),
+    def spec(self, depths, write_cosine=True):
+        return SweepSpec(
+            depths=depths, variants=("post_ln",), seeds=(0,),
             hidden_dim=self.HIDDEN, input_dim=8, output_dim=3,
             write_cosine=write_cosine,
         )
-        run_sweep(G, replace(spec, depths=(1,)))  # build the graph's caches
-        _, peak = traced_peak(lambda: run_sweep(G, spec, out_dir=str(tmp_path)))
+
+    def peak(self, G, tmp_path, depths, write_cosine=True):
+        _, peak = traced_peak(lambda: run_sweep(
+            G, self.spec(depths, write_cosine), out_dir=str(tmp_path)))
+        return peak
+
+    def bound(self, live):
+        """One layer's parameters, the encoder and decoder, the live
+        forms and one layer's temporaries."""
         cfg = ModelConfig(input_dim=8, output_dim=3, depth=max(self.DEPTHS),
                           hidden_dim=self.HIDDEN)
-        kept = len({
-            k for d in self.DEPTHS
-            for k in cli._subsample(d + 1, cli.COSINE_LAYER_CAP)
-        }) if write_cosine else 0
-        state = self.N * self.HIDDEN * 8
-        return peak, nbytes(init_model(cfg)) + (
-            kept + STATE_TEMPORARIES) * state, kept
+        params = init_model(cfg)
+        one_layer = replace(params, layers=params.layers[:1])
+        return nbytes(one_layer) + (live + STATE_TEMPORARIES) * self.N * self.HIDDEN * 8
 
-    def test_keeps_only_the_cosine_union(self, ring, tmp_path, capsys):
-        peak, bound, kept = self.peak_and_bound(ring, tmp_path, True)
-        assert kept == 19  # of the 65 states of the depth-64 run
-        assert peak < bound
-        assert capsys.readouterr().err.rstrip().endswith("kept 19 of 65 states")
+    def test_holds_only_the_live_cosine_forms(self, ring, tmp_path, capsys):
+        peak = self.peak(ring, tmp_path, self.DEPTHS)
+        # layers 0, 4, .., 64 of the depth-64 subsample are live together
+        assert capsys.readouterr().err.rstrip().endswith(
+            "at most 17 of 65 states live")
+        assert peak < self.bound(17)
 
     def test_keeps_no_state_without_cosine(self, ring, tmp_path, capsys):
-        peak, bound, kept = self.peak_and_bound(ring, tmp_path, False)
-        assert kept == 0 and peak < bound
-        assert capsys.readouterr().err.rstrip().endswith("kept 0 of 65 states")
+        peak = self.peak(ring, tmp_path, self.DEPTHS, write_cosine=False)
+        assert capsys.readouterr().err.rstrip().endswith(
+            "at most 0 of 65 states live")
+        assert peak < self.bound(0)
+
+    def test_peak_does_not_grow_with_depth(self, ring, tmp_path, monkeypatch):
+        # Measured inline, a state's energy temporaries never overlap the
+        # next layer's, so the peak does not depend on thread timing.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Inline)
+        shallow = self.peak(ring, tmp_path / "shallow", (2, 32))
+        deep = self.peak(ring, tmp_path / "deep", cli.DEFAULT_DEPTHS)
+        assert max(cli.DEFAULT_DEPTHS) == 256
+        assert deep - shallow < self.N * self.HIDDEN * 8  # one state
+
+
+class _Inline:
+    """A one-worker executor that runs each task as it is submitted."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 class TestFlow:

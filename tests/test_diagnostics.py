@@ -18,6 +18,7 @@ from graphenergy.diagnostics import (
 )
 from graphenergy.graph import build_weighted_graph
 from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
+from graphenergy import network
 from graphenergy.attention import AttentionKind
 from graphenergy.network import (
     LayerTrajectory,
@@ -363,6 +364,22 @@ class TestPrune:
             assert report.deviation == deviation
             assert report.mean_cosine == float(np.nanmean(cosines))
             assert report.deviation > 0
+
+    def test_scan_draws_each_layer_once(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        G, _ = random_graph(rng, 8)
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=6, hidden_dim=4)
+        params = init_model(cfg)
+        drawn = []
+        real = network._draw_layer
+
+        def counted(stream, config):
+            drawn.append(1)
+            return real(stream, config)
+
+        monkeypatch.setattr(network, "_draw_layer", counted)
+        prune_scan(params, cfg, G, rng.normal(size=(8, 3)), (2, 4))
+        assert len(drawn) == cfg.depth  # not 6 + 4 + 2 for three passes
 
     def test_scan_keeps_only_the_states_before_pruned_layers(self):
         n, hidden, layers = 3000, 16, (32, 48, 62)

@@ -104,6 +104,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             build_weighted_graph(P3_EDGES, measure=[1.0, 1.0])
 
+    def test_integer_and_float_arrays_build_the_same_graph(self):
+        rng = np.random.default_rng(40)
+        pairs = rng.integers(0, 50, size=(400, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.concatenate([pairs, pairs[:30, ::-1]])  # both orientations
+        weights = 1 + pairs.sum(axis=1) % 3  # equal on repeats of an edge
+        reference = build_weighted_graph(
+            [(int(i), int(j), float(w)) for (i, j), w in zip(pairs, weights)], n=50)
+        for arr in (np.column_stack([pairs, weights]),
+                    np.column_stack([pairs, weights]).astype(np.uint16),
+                    np.column_stack([pairs, weights]).astype(float)):
+            G = build_weighted_graph(arr, n=50)
+            for name in ("indptr", "indices", "weights", "measure"):
+                a, b = getattr(G, name), getattr(reference, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_non_integer_float_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            build_weighted_graph(np.array([[0.0, 1.5], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            build_weighted_graph(np.array([[0.0, np.nan]]))
+
     def test_empty_edges_need_n(self):
         with pytest.raises(ValueError, match="vertex count"):
             build_weighted_graph([])

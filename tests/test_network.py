@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from graphenergy.network import (
     ModelConfig,
     NonFiniteLayerError,
     feed_forward,
+    _draw_layer,
     forward_trajectory,
+    glorot_uniform,
     init_model,
     layer_norm,
     message_passing,
@@ -96,6 +99,36 @@ class TestInit:
         assert np.all(layer.norm1_gain == 1.0)
         assert np.all(layer.ffn_b1 == 0.0)
         assert params.decoder_w.shape == (8, 3)
+
+    @pytest.mark.parametrize("heads", (1, 2, 4))
+    @pytest.mark.parametrize("score", SCORE_VARIANTS)
+    def test_layers_drawn_on_demand_match_a_sequential_draw(self, score, heads):
+        cfg = ModelConfig(input_dim=5, output_dim=3, depth=6, hidden_dim=8,
+                          heads=heads, attention=AttentionKind(score), seed=9)
+        rng = np.random.default_rng(9)
+        encoder = (glorot_uniform(rng, 5, 8, (5, 8)), glorot_uniform(rng, 8, 8, (8, 8)))
+        layers = tuple(_draw_layer(rng, cfg) for _ in range(cfg.depth))
+        decoder = glorot_uniform(rng, 8, 3, (8, 3))
+
+        params = init_model(cfg)
+        assert isinstance(params.layers, Sequence) and len(params.layers) == 6
+        assert _bits((params.encoder_w1, params.encoder_w2)) == _bits(encoder)
+        assert _bits(params.decoder_w) == _bits(decoder)
+        assert _bits(tuple(params.layers)) == _bits(layers)  # iteration
+        assert _bits(params.layers[4]) == _bits(layers[4])
+        assert _bits(params.layers[-2]) == _bits(layers[4])
+        assert _bits(params.layers[1:5:2]) == _bits(layers[1:5:2])
+        assert _bits(params.layers[::-1]) == _bits(layers[::-1])
+        assert params.layers[7:] == ()
+        for bad in (6, -7):
+            with pytest.raises(IndexError):
+                params.layers[bad]
+
+    def test_layers_are_not_cached(self):
+        params = init_model(ModelConfig(input_dim=2, output_dim=2, depth=2))
+        first, again = params.layers[1], params.layers[1]
+        assert first is not again and first.ffn_w1 is not again.ffn_w1
+        assert _bits(first) == _bits(again)
 
     def test_glorot_bound(self):
         cfg = ModelConfig(input_dim=100, output_dim=2, depth=1, hidden_dim=4)
@@ -420,10 +453,11 @@ class TestPrefixInvariant:
 
 
 def _bits(value):
-    """Every array byte and None inside nested dataclasses and tuples."""
+    """Every array byte and None inside nested dataclasses and sequences
+    (tuples, and the layers :func:`init_model` draws on demand)."""
     if dataclasses.is_dataclass(value):
         return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
+    if isinstance(value, Sequence) and not isinstance(value, str):
         return tuple(_bits(v) for v in value)
     if isinstance(value, np.ndarray):
         return (value.shape, value.tobytes())
