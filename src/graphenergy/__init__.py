@@ -57,7 +57,6 @@ from graphenergy.ingest import (
     generate_graph,
     load_edge_list,
     load_features,
-    load_labels,
     random_features,
     write_edge_list,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "laplacian_apply",
     "load_edge_list",
     "load_features",
-    "load_labels",
     "prune_layer_deviation",
     "prune_scan",
     "random_features",

@@ -171,7 +171,7 @@ def attention_weighted_graph(scores: EdgeScores) -> sparse.csr_matrix:
         row_max[mask] = np.maximum(row_max[mask], row_peaks)
     exp_off = np.exp(values - row_max[src])
     exp_diag = np.exp(diagonal - row_max)
-    normalizers = exp_diag + _row_sums(G, exp_off)
+    normalizers = exp_diag + _row_sums(G.indptr, exp_off)
 
     indptr, indices, order = G.closed_neighborhood
     data = np.concatenate([exp_off / normalizers[src], exp_diag / normalizers])[order]

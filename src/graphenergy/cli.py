@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import glob
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -31,6 +32,7 @@ import numpy as np
 import graphenergy
 from graphenergy.attention import SCORE_VARIANTS, AttentionKind
 from graphenergy.diagnostics import (
+    CosineGram,
     EnergySeries,
     FitReport,
     StallVerdict,
@@ -38,7 +40,6 @@ from graphenergy.diagnostics import (
     fit_decay,
     prune_scan,
     relative_change_series,
-    unit_rows,
 )
 from graphenergy.dynamics import (
     FLOW_GATED,
@@ -64,7 +65,6 @@ from graphenergy.ingest import (
     generate_graph,
     load_edge_list,
     load_features,
-    load_labels,
     load_matrix,
     random_features,
     write_edge_list,
@@ -263,11 +263,9 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     forward pass computes the next layers. Measurements run in order, and
     the forward pass hands over state k only once state k-2 is measured,
     so at most two states are in flight. No state is kept. The cosine
-    matrices are built from Gram entries taken as the states arrive: a
-    state in some depth's cosine subsample is normalized to unit rows,
-    paired with each earlier state it shares a subsample with, and its
-    form is dropped once its last partner has arrived. So the forms held
-    are bounded by the subsample cap, whatever the depth.
+    matrices come from one :class:`CosineGram` over every depth's
+    subsample, so the unit-row forms held are bounded by the subsample
+    cap per depth, however deep.
 
     A non-finite layer k fails only the depths that reach it; the k
     energies measured before it still serve every shallower depth, and a
@@ -278,7 +276,7 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     G, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
     cfg = replace(spec.model_configs[variant], seed=seed)
-    partners, last = _cosine_partners(
+    gram = CosineGram(
         [_subsample(depth + 1, COSINE_LAYER_CAP) for depth in spec.depths]
         if spec.write_cosine else []
     )
@@ -288,32 +286,13 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     } if out_dir is not None and spec.dump_states else {}
     canonical = canonical_energy_graph(G)
     energies = []
-    forms = {}  # the live unit-row forms, by layer
-    gram = {}  # (j, k) -> cosine entry, j <= k
-    live = 0
     busy = 0.0
 
     def measure(k, state):
-        nonlocal busy, live
+        nonlocal busy
         begin = time.perf_counter()
         energies.append(derivative_energy(canonical, state, spec.energy_order))
-        if k in partners:
-            # unit_row_gram's entries, bit for bit: NaN where a state has
-            # a zero row, and exactly 1 on the rest of the diagonal
-            form = unit_rows(state)
-            gram[k, k] = np.nan if form is None else 1.0
-            if form is not None:
-                forms[k] = form
-                live = max(live, len(forms))
-            for j in partners[k]:
-                if form is None or j not in forms:
-                    gram[j, k] = np.nan
-                else:
-                    value = float(np.einsum("ij,ij->", forms[j], form))
-                    gram[j, k] = value / form.shape[0]
-            for j in (*partners[k], k):
-                if last[j] == k:
-                    forms.pop(j, None)
+        gram.add(k, state)
         for depth, states_dir in dumps.items():
             if k == 0:
                 ensure_directory(states_dir)
@@ -370,10 +349,9 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
                 error=f"{type(exc).__name__}: {exc}",
                 layer=exc.layer if isinstance(exc, NonFiniteLayerError) else None,
             )
+            changes = None
             if depth in dumps and os.path.isdir(dumps[depth]):
                 shutil.rmtree(dumps[depth])
-            if out_dir is not None:
-                _write_job_error(out_dir, job, config_hash)
         else:
             job = SweepJob(
                 variant=variant,
@@ -385,22 +363,10 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
                 fit=fit,
                 stall=changes.verdict,
             )
-            if out_dir is not None:
-                _write_job_files(out_dir, job, gram, changes.values, spec, config_hash)
+        if out_dir is not None:
+            _write_job_files(out_dir, job, gram, changes, spec, config_hash)
         jobs.append(job)
-    return jobs, time.perf_counter() - start, busy, live, reached
-
-
-def _cosine_partners(subsamples):
-    """For each layer of some subsample, the earlier layers it shares a
-    subsample with (``partners``), and the last layer that pairs with it
-    (``last``, itself when no later layer does)."""
-    partners, last = {}, {}
-    for layers in subsamples:
-        for t, k in enumerate(layers):
-            partners.setdefault(k, set()).update(layers[:t])
-            last[k] = max(last.get(k, k), layers[-1])
-    return partners, last
+    return jobs, time.perf_counter() - start, busy, gram.peak, reached
 
 
 def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
@@ -408,10 +374,15 @@ def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
 
 
 def _write_job_files(
-    out_dir, job, gram, changes, spec: SweepSpec, config_hash
+    out_dir, job: SweepJob, gram: CosineGram, changes, spec: SweepSpec, config_hash
 ) -> None:
+    """Write one cell's files; a failed cell gets only its ``report.json``."""
     directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
     ensure_directory(directory)
+    report_path = os.path.join(directory, "report.json")
+    if not job.ok:
+        _write_json(report_path, _failure_record(job), config_hash, job.seed)
+        return
     meta = _csv_meta(config_hash, job.seed)
     series = job.series
     _write_csv(
@@ -424,11 +395,11 @@ def _write_job_files(
         os.path.join(directory, "relative_change.csv"),
         meta,
         ("layer", "relative_change"),
-        (series.indices[1:], changes),
+        (series.indices[1:], changes.values),
     )
     if spec.write_cosine:
         keep = _subsample(job.depth + 1, COSINE_LAYER_CAP)
-        matrix = np.array([[gram[min(j, k), max(j, k)] for k in keep] for j in keep])
+        matrix = gram.matrix(keep)
         _write_csv(
             os.path.join(directory, "cosine.csv"),
             meta + [f"# layers {','.join(str(int(k)) for k in keep)}"],
@@ -444,24 +415,13 @@ def _write_job_files(
         "fit": None if job.fit is None else asdict(job.fit),
         "stall": asdict(job.stall),
     }
-    _write_json(os.path.join(directory, "report.json"), report, config_hash, job.seed)
+    _write_json(report_path, report, config_hash, job.seed)
 
 
-def _write_job_error(out_dir, job: SweepJob, config_hash) -> None:
-    directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
-    ensure_directory(directory)
-    _write_json(
-        os.path.join(directory, "report.json"),
-        {
-            "variant": job.variant,
-            "depth": job.depth,
-            "seed": job.seed,
-            "error": job.error,
-            "layer": job.layer,
-        },
-        config_hash,
-        job.seed,
-    )
+def _failure_record(job: SweepJob) -> dict:
+    """A failed cell as its ``report.json`` and ``summary.json`` list it."""
+    fields = ("variant", "depth", "seed", "error", "layer")
+    return {name: getattr(job, name) for name in fields}
 
 
 def _write_sweep_summary(result: SweepResult, G: WeightedGraph, spec: SweepSpec):
@@ -473,41 +433,20 @@ def _write_sweep_summary(result: SweepResult, G: WeightedGraph, spec: SweepSpec)
         },
         "seeds": list(spec.seeds),
         "cells": {},
-        "failures": [
-            {
-                "variant": j.variant,
-                "depth": j.depth,
-                "seed": j.seed,
-                "error": j.error,
-                "layer": j.layer,
-            }
-            for j in result.jobs
-            if not j.ok
-        ],
+        "failures": [_failure_record(j) for j in result.jobs if not j.ok],
     }
-    for variant in spec.variants:
-        for depth in spec.depths:
-            finals = [
-                j.final_energy
-                for j in result.jobs
-                if j.ok and j.variant == variant and j.depth == depth
-            ]
-            if not finals:
-                continue
-            labels = [
-                j.fit.classification
-                for j in result.jobs
-                if j.ok and j.variant == variant and j.depth == depth and j.fit
-            ]
-            summary["cells"][f"{variant}/depth-{depth:03d}"] = {
-                "median_final_energy": float(np.median(finals)),
-                "classifications": {c: labels.count(c) for c in sorted(set(labels))},
-                "stalled": sum(
-                    bool(j.stall and j.stall.stalled)
-                    for j in result.jobs
-                    if j.ok and j.variant == variant and j.depth == depth
-                ),
-            }
+    # run_sweep orders the jobs by variant, then depth, then seed
+    cells = itertools.groupby(result.jobs, key=lambda j: (j.variant, j.depth))
+    for (variant, depth), cell in cells:
+        finished = [j for j in cell if j.ok]
+        if not finished:
+            continue
+        labels = [j.fit.classification for j in finished if j.fit]
+        summary["cells"][f"{variant}/depth-{depth:03d}"] = {
+            "median_final_energy": float(np.median([j.final_energy for j in finished])),
+            "classifications": {c: labels.count(c) for c in sorted(set(labels))},
+            "stalled": sum(j.stall.stalled for j in finished),
+        }
     _write_json(
         os.path.join(result.out_dir, "summary.json"),
         summary,
@@ -595,10 +534,10 @@ def _read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 rows.append([float(t) for t in tokens[:2]])
             except ValueError:
                 if rows:
-                    raise ValueError(f"{path}: non-numeric row {raw.strip()!r}")
+                    raise ValueError(f"non-numeric row {raw.strip()!r}") from None
                 continue  # header row
     if not rows or any(len(r) < 2 for r in rows):
-        raise ValueError(f"{path}: expected two numeric columns")
+        raise ValueError("expected two numeric columns")
     data = np.asarray(rows)
     return data[:, 0], data[:, 1]
 
@@ -952,33 +891,30 @@ def cmd_gen(args) -> int:
 def cmd_stats(args) -> int:
     G, label = _resolve_graph(args)
     features = load_features(args.features, G.n) if args.features else None
-    labels = load_labels(args.labels, G.n) if args.labels else None
-    stats = dataset_stats(G, features=features, labels=labels)
+    stats = dataset_stats(G, features=features)
     parts = [f"nodes {stats.nodes}", f"edges {stats.edges}"]
     if stats.feature_dim is not None:
         parts.append(f"features {stats.feature_dim}")
-    if stats.class_count is not None:
-        parts.append(f"classes {stats.class_count}")
     parts.append(f"components {stats.components}")
     print(f"{label}: " + ", ".join(parts))
     return 0
 
 
 def cmd_fit(args) -> int:
-    indices, values = _read_series_csv(args.series)
-    series = EnergySeries(indices=indices, values=values)
     window = "auto"
     if args.window != "auto":
-        lo, sep, hi = args.window.partition(":")
+        lo, _, hi = args.window.partition(":")
         try:
             window = (float(lo), float(hi))
         except ValueError:
             raise SystemExit(
                 f"--window must be 'auto' or 'lo:hi', got {args.window!r}"
             ) from None
-        if not sep:
-            raise SystemExit("--window range needs a colon, e.g. 10:100")
-    fit = fit_decay(series, window=window)
+    try:
+        indices, values = _read_series_csv(args.series)
+        fit = fit_decay(EnergySeries(indices=indices, values=values), window=window)
+    except ValueError as exc:
+        raise SystemExit(f"graphenergy: {args.series}: {exc}") from None
     payload = asdict(fit)
     config_hash = _config_hash({
         "series": os.path.basename(args.series),
@@ -1067,7 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="dataset summary counts")
     _add_graph_source(p)
     p.add_argument("--features")
-    p.add_argument("--labels")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fit", help="fit a decay law to a series CSV")
@@ -1124,10 +1059,16 @@ def _one_blas_thread():
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _expand_config(argv)
-    args = build_parser().parse_args(argv)
-    with _one_blas_thread():
-        return args.func(args)
+    try:
+        args = build_parser().parse_args(_expand_config(argv))
+        with _one_blas_thread():
+            return args.func(args)
+    except FileNotFoundError as exc:
+        if exc.filename is None:
+            raise
+        raise SystemExit(
+            f"graphenergy: {exc.filename}: no such file or directory"
+        ) from None
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Everything here consumes recorded trajectories and produces plot-ready
 series: smoothness energies per layer, relative energy increments with a
-stall verdict, pairwise cosine similarity between states (through their
-unit-row forms, which a caller can keep in place of the states),
+stall verdict, pairwise cosine similarity between states (one
+:class:`CosineGram`, which takes each pair as its later state arrives and
+keeps unit-row forms only until their last partner has come),
 least-squares decay-law fits, and the representation cost of skipping a
 single layer.
 
@@ -208,11 +209,15 @@ def cosine_similarity_matrix(states: Sequence[np.ndarray]) -> np.ndarray:
     """Mean per-node cosine similarity between every pair of states:
     entry (s, t) averages the cosine of matching feature rows.
 
-    This is :func:`unit_row_gram` of each state's :func:`unit_rows`. Any
+    This is a :class:`CosineGram` fed every state as one subsample. Any
     state containing a zero row poisons its matrix row and column with
     NaN rather than raising.
     """
-    return unit_row_gram([unit_rows(X) for X in states])
+    layers = range(len(states))
+    gram = CosineGram([layers])
+    for k, X in enumerate(states):
+        gram.add(k, X)
+    return gram.matrix(layers)
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray | None:
@@ -222,23 +227,57 @@ def unit_rows(X: np.ndarray) -> np.ndarray | None:
     return X / norms if norms.min() > 0 else None
 
 
-def unit_row_gram(rows: Sequence[np.ndarray | None]) -> np.ndarray:
-    """Mean row-by-row inner product between every pair of unit-row
-    states, as :func:`unit_rows` returns them; a None state gets a NaN
-    matrix row and column, and every other diagonal entry is exactly 1."""
-    m = len(rows)
-    sim = np.full((m, m), np.nan)
-    for s in range(m):
-        if rows[s] is None:
-            continue
-        for t in range(s, m):
-            if rows[t] is None:
-                continue
-            value = float(np.einsum("ij,ij->", rows[s], rows[t]))
-            sim[s, t] = sim[t, s] = value / rows[s].shape[0]
-    defined = [k for k, U in enumerate(rows) if U is not None]
-    sim[defined, defined] = 1.0  # exact, not just up to roundoff
-    return sim
+class CosineGram:
+    """Cosine matrices over subsamples of a stream of states, taken as the
+    states arrive.
+
+    ``subsamples`` lists the increasing state indices of each matrix to be
+    read. :meth:`add` keeps state k's :func:`unit_rows` form, pairs it with
+    each earlier state that shares a subsample with it, and drops every
+    form whose last partner has arrived. ``peak`` is the most forms held
+    at once. It never exceeds the subsamples' union, and it stays within
+    the largest subsample when the subsamples nest: each one, cut at the
+    last state of a shorter one, lies inside that shorter one, as the
+    sweep's subsamples of its default depths do.
+    """
+
+    def __init__(self, subsamples: Iterable[Sequence[int]]):
+        self._partners: dict[int, set[int]] = {}  # earlier states to pair with
+        self._last: dict[int, int] = {}  # the last state that pairs with it
+        for layers in subsamples:
+            for t, k in enumerate(layers):
+                self._partners.setdefault(k, set()).update(layers[:t])
+                self._last[k] = max(self._last.get(k, k), layers[-1])
+        self._forms: dict[int, np.ndarray] = {}
+        self._entries: dict[tuple[int, int], float] = {}  # (j, k), j <= k
+        self.peak = 0
+
+    def add(self, k: int, X: np.ndarray) -> None:
+        """Take state k's entries; a state in no subsample is ignored."""
+        if k not in self._partners:
+            return
+        form = unit_rows(X)
+        self._entries[k, k] = np.nan if form is None else 1.0
+        if form is not None:
+            self._forms[k] = form
+            self.peak = max(self.peak, len(self._forms))
+        for j in self._partners[k]:
+            if form is None or j not in self._forms:
+                self._entries[j, k] = np.nan
+            else:
+                value = float(np.einsum("ij,ij->", self._forms[j], form))
+                self._entries[j, k] = value / form.shape[0]
+        for j in (*self._partners[k], k):
+            if self._last[j] == k:
+                self._forms.pop(j, None)
+
+    def matrix(self, layers: Sequence[int]) -> np.ndarray:
+        """The matrix of one subsample, once all its states have arrived:
+        a state with a zero row gets a NaN row and column, and every other
+        diagonal entry is exactly 1."""
+        m = len(layers)
+        rows = [[self._entries[min(j, k), max(j, k)] for k in layers] for j in layers]
+        return np.array(rows, dtype=float).reshape(m, m)
 
 
 def fit_decay(series: EnergySeries, window="auto") -> FitReport:

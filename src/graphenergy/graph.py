@@ -95,7 +95,7 @@ class WeightedGraph:
     @cached_property
     def weight_row_sums(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
-        return _row_sums(self, self.weights)
+        return _row_sums(self.indptr, self.weights)
 
     @cached_property
     def aggregation_admissible(self) -> bool:
@@ -110,8 +110,8 @@ class WeightedGraph:
     @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints ``(i, j)``, ``i < j``, of every undirected edge in the
-        stored order of its ``i -> j`` copy; edge k is row k of
-        :attr:`incidence`."""
+        stored order of its ``i -> j`` copy; edge k is row k of the signed
+        incidence matrix ``B``."""
         upper = self.indices > self.edge_sources
         return self.edge_sources[upper], self.indices[upper]
 
@@ -143,23 +143,13 @@ class WeightedGraph:
         return pattern.indptr, pattern.indices, order
 
     @cached_property
-    def incidence(self) -> sparse.csr_matrix:
-        """Signed incidence matrix ``B``: one row per edge ``i < j`` in
-        stored order, -1 in column ``i`` and +1 in column ``j``."""
-        upper = self.indices > self.edge_sources
-        ends = np.column_stack([self.edge_sources[upper], self.indices[upper]])
-        count = ends.shape[0]
-        signs = np.tile([-1.0, 1.0], count)
-        rows = np.arange(0, 2 * count + 1, 2)
-        return sparse.csr_matrix((signs, ends.ravel(), rows), shape=(count, self.n))
-
-    @cached_property
     def divergence(self) -> sparse.csr_matrix:
-        """``-Bᵀ W`` as CSR, with ``B`` the :attr:`incidence` and
-        ``W = diag(edge_weights)``, so ``ΔX = M⁻¹ (-Bᵀ W) BX``. Each row
-        lists a vertex's edges in edge order, so a product sums them as
-        ``B.T @ (-w ⊙ Y)`` does, with the same bits. The sign rides on the
-        weights, so constants give +0.0 rather than -0.0.
+        """``-Bᵀ W`` as CSR, with ``B`` the signed incidence matrix of
+        :attr:`edge_ends` and ``W = diag(edge_weights)``, so
+        ``ΔX = M⁻¹ (-Bᵀ W) BX``. Each row lists a vertex's edges in edge
+        order, so a product sums them as ``B.T @ (-w ⊙ Y)`` does, with the
+        same bits. The sign rides on the weights, so constants give +0.0
+        rather than -0.0.
 
         Row ``v`` has one entry per stored edge ``v -> u``: its edges to
         lower ``u`` precede its own block of edges, so sorted neighbors
@@ -174,7 +164,7 @@ class WeightedGraph:
 
     @cached_property
     def edge_weights(self) -> np.ndarray:
-        """Weight of each row of :attr:`incidence`."""
+        """Weight of each edge of :attr:`edge_ends`."""
         return self.weights[self.indices > self.edge_sources]
 
     @cached_property
@@ -239,12 +229,7 @@ def build_weighted_graph(
     if isinstance(measure, str):
         if measure != DEGREE_PLUS_ONE:
             raise ValueError(f"unknown measure rule {measure!r}")
-        row_sums = np.zeros(n)
-        if weights.size:
-            counts = np.diff(indptr)
-            mask = counts > 0
-            row_sums[mask] = np.add.reduceat(weights, indptr[:-1][mask])
-        mu = row_sums + 1.0
+        mu = _row_sums(indptr, weights) + 1.0
     else:
         mu = np.array(measure, dtype=float).reshape(-1)
         if mu.size != n:
@@ -300,10 +285,9 @@ def grad_inner_product(G: WeightedGraph, X, Y) -> np.ndarray:
     dx = _edge_differences(G, _as_features(G, X)[0])
     dy = dx if Y is X else _edge_differences(G, _as_features(G, Y)[0])
     per_edge = G.edge_weights * np.einsum("ed,ed->e", dx, dy)
-    # |B|^T: each edge's value lands on both of its endpoints
-    at_vertices = np.bincount(
-        G.incidence.indices, np.repeat(per_edge, 2), minlength=G.n
-    )
+    # |B|^T: each edge's value lands on both of its endpoints, in edge order
+    ends = np.column_stack(G.edge_ends).ravel()
+    at_vertices = np.bincount(ends, np.repeat(per_edge, 2), minlength=G.n)
     return 0.5 * at_vertices / G.measure
 
 
@@ -421,12 +405,12 @@ def _as_features(G: WeightedGraph, X) -> tuple[np.ndarray, bool]:
     return arr, squeeze
 
 
-def _row_sums(G: WeightedGraph, per_edge: np.ndarray) -> np.ndarray:
-    out = np.zeros(G.n)
-    counts = np.diff(G.indptr)
-    mask = counts > 0
+def _row_sums(indptr: np.ndarray, per_edge: np.ndarray) -> np.ndarray:
+    """Sum of ``per_edge`` over each CSR row of ``indptr``; 0 on empty rows."""
+    out = np.zeros(indptr.size - 1)
+    mask = np.diff(indptr) > 0
     if per_edge.size:
-        out[mask] = np.add.reduceat(per_edge, G.indptr[:-1][mask])
+        out[mask] = np.add.reduceat(per_edge, indptr[:-1][mask])
     return out
 
 
@@ -456,9 +440,9 @@ def _edge_differences(G: WeightedGraph, X2: np.ndarray) -> np.ndarray:
     """``BX`` of an ``(n, d)`` array: row k is ``X(j) - X(i)`` for edge
     ``k = (i, j)`` of :attr:`WeightedGraph.edge_ends`.
 
-    Two row gathers give the bits of ``G.incidence @ X2``, except that a
-    zero difference may keep the sign of ``-0.0 - 0.0``; the ``X(i)`` rows
-    come in blocks of at most ``EDGE_BLOCK_BYTES``.
+    Two row gathers give the bits of the sparse product ``B @ X2``, except
+    that a zero difference may keep the sign of ``-0.0 - 0.0``; the
+    ``X(i)`` rows come in blocks of at most ``EDGE_BLOCK_BYTES``.
     """
     i, j = G.edge_ends
     out = np.take(X2, j, axis=0)

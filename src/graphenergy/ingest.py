@@ -2,8 +2,8 @@
 
 Edge lists are plain text, one edge per line as ``i j`` or ``i j w``,
 whitespace separated, 0-indexed, undirected, with ``#`` comments.
-Features are headerless CSV, row i = node i. Labels are one integer per
-line. Matrix dumps carry a single ``#`` metadata line.
+Features are headerless CSV, row i = node i. Matrix dumps carry a single
+``#`` metadata line.
 
 Generators use numpy's seeded PCG64 stream, so identical specs
 reproduce identical graphs across runs and platforms.
@@ -32,14 +32,12 @@ PAIR_CHUNK = 1 << 18
 @dataclass(frozen=True)
 class DatasetStats:
     """Row of summary numbers for one dataset: node and undirected edge
-    counts, feature width, distinct label count, and the number of
-    connected components. Optional fields stay None when the matching
-    file was not supplied."""
+    counts, feature width (None when no feature file was supplied), and
+    the number of connected components."""
 
     nodes: int
     edges: int
     feature_dim: int | None
-    class_count: int | None
     components: int
 
 
@@ -248,42 +246,24 @@ def load_edge_list(path) -> WeightedGraph:
 
 def load_features(path, n: int) -> np.ndarray:
     """Read a headerless CSV feature matrix and check it has n rows.
-    A non-numeric token is reported with its line and column."""
+    A non-numeric token is reported with its line and column; a missing
+    file raises ``FileNotFoundError`` carrying its name."""
     try:
-        arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with open(path) as fh:
+            arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     except ValueError:
-        raise ValueError(_locate_bad_token(path, ",")) from None
+        raise ValueError(_locate_bad_token(path)) from None
     if arr.shape[0] != n:
         raise ValueError(f"{path}: expected {n} rows, found {arr.shape[0]}")
     return arr
 
 
-def load_labels(path, n: int) -> np.ndarray:
-    """Read one integer label per line; count must match n."""
-    try:
-        arr = np.loadtxt(path, comments="#", ndmin=1)
-    except ValueError:
-        raise ValueError(_locate_bad_token(path, None)) from None
-    if arr.ndim != 1:
-        raise ValueError(f"{path}: expected one label per line")
-    if arr.shape[0] != n:
-        raise ValueError(f"{path}: expected {n} labels, found {arr.shape[0]}")
-    if not np.equal(np.mod(arr, 1), 0).all():
-        raise ValueError(f"{path}: labels must be integers")
-    return arr.astype(np.int64)
-
-
-def dataset_stats(
-    G: WeightedGraph,
-    features: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
-) -> DatasetStats:
+def dataset_stats(G: WeightedGraph, features: np.ndarray | None = None) -> DatasetStats:
     """Summary counts; each undirected edge counted once."""
     return DatasetStats(
         nodes=G.n,
         edges=G.indices.size // 2,
         feature_dim=None if features is None else int(np.atleast_2d(features).shape[1]),
-        class_count=None if labels is None else int(np.unique(labels).size),
         components=G.component_count,
     )
 
@@ -291,17 +271,11 @@ def dataset_stats(
 def write_edge_list(path, G: WeightedGraph) -> None:
     """Write each undirected edge once (smaller endpoint first); weights
     are included only when some weight differs from 1."""
-    src = G.edge_sources
-    upper = src < G.indices
-    pairs = zip(src[upper], G.indices[upper], G.weights[upper])
-    weighted = not np.all(G.weights == 1.0)
+    weighted = not np.all(G.edge_weights == 1.0)
     with open(path, "w") as fh:
         fh.write(f"# nodes {G.n}\n")
-        for i, j, w in pairs:
-            if weighted:
-                fh.write(f"{int(i)} {int(j)} {float(w)!r}\n")
-            else:
-                fh.write(f"{int(i)} {int(j)}\n")
+        for i, j, w in zip(*G.edge_ends, G.edge_weights):
+            fh.write(f"{i} {j} {float(w)!r}\n" if weighted else f"{i} {j}\n")
 
 
 def write_matrix(path, M: np.ndarray, provenance: str = "") -> None:
@@ -328,14 +302,13 @@ def _int_token(token: str, path, lineno: int) -> int:
     return int(value)
 
 
-def _locate_bad_token(path, delimiter) -> str:
+def _locate_bad_token(path) -> str:
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            tokens = line.split(delimiter) if delimiter else line.split()
-            for col, token in enumerate(tokens, start=1):
+            for col, token in enumerate(line.split(","), start=1):
                 try:
                     float(token)
                 except ValueError:

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
 
 from graphenergy.dynamics import FlowTrajectory
@@ -71,6 +72,40 @@ def dense_spectrum(G: WeightedGraph, max_nodes: int = 2000) -> np.ndarray:
     A = dense_graph_weights(G, max_nodes)
     vals = eigh(np.diag(A.sum(axis=1)) - A, np.diag(G.measure), eigvals_only=True)
     return np.sort(vals)
+
+
+def incidence_matrix(G: WeightedGraph) -> sparse.csr_matrix:
+    """Signed incidence matrix ``B`` of a built graph, read from its CSR
+    arrays: one row per edge ``i < j`` in the stored order of its
+    ``i -> j`` copy, -1 in column ``i`` and +1 in column ``j``."""
+    sources = np.repeat(np.arange(G.n), np.diff(G.indptr))
+    upper = G.indices > sources
+    ends = np.column_stack([sources[upper], G.indices[upper]])
+    count = ends.shape[0]
+    signs = np.tile([-1.0, 1.0], count)
+    rows = np.arange(0, 2 * count + 1, 2)
+    return sparse.csr_matrix((signs, ends.ravel(), rows), shape=(count, G.n))
+
+
+def unit_row_gram(rows) -> np.ndarray:
+    """Reference cosine matrix of unit-row states, as
+    ``diagnostics.unit_rows`` returns them: entry (s, t), s <= t, is the
+    mean row-by-row inner product ``einsum(rows[s], rows[t]) / n``. A None
+    state gets a NaN row and column, and every other diagonal entry is
+    exactly 1."""
+    m = len(rows)
+    sim = np.full((m, m), np.nan)
+    for s in range(m):
+        if rows[s] is None:
+            continue
+        for t in range(s, m):
+            if rows[t] is None:
+                continue
+            value = float(np.einsum("ij,ij->", rows[s], rows[t]))
+            sim[s, t] = sim[t, s] = value / rows[s].shape[0]
+    defined = [k for k, U in enumerate(rows) if U is not None]
+    sim[defined, defined] = 1.0  # exact, not just up to roundoff
+    return sim
 
 
 def neighbors(G: WeightedGraph, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ from graphenergy.diagnostics import (
     energy_series,
     fit_decay,
     relative_change_series,
-    unit_row_gram,
     unit_rows,
 )
 from graphenergy.dynamics import FlowSpec, simulate_heat
@@ -30,7 +29,7 @@ from graphenergy.ingest import (
 )
 from graphenergy.network import ModelConfig, forward_trajectory, init_model
 
-from conftest import STATE_TEMPORARIES, collect, nbytes, traced_peak
+from conftest import STATE_TEMPORARIES, collect, nbytes, traced_peak, unit_row_gram
 
 
 def read_file_map(root):
@@ -113,14 +112,14 @@ class TestStats:
     def test_with_features_and_labels(self, p3_file, tmp_path, capsys):
         feats = tmp_path / "x.csv"
         feats.write_text("1,2\n3,4\n5,6\n")
+        assert main(["stats", "--edges", p3_file, "--features", str(feats)]) == 0
+        assert "features 2" in capsys.readouterr().out
+        # labels are no longer read: the package has no training loop
         labels = tmp_path / "y.txt"
         labels.write_text("0\n1\n0\n")
-        rc = main(
-            ["stats", "--edges", p3_file, "--features", str(feats), "--labels", str(labels)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "features 2" in out and "classes 2" in out
+        with pytest.raises(SystemExit):
+            main(["stats", "--edges", p3_file, "--labels", str(labels)])
+        assert "unrecognized arguments: --labels" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -457,6 +456,19 @@ class TestSweepCosine:
     def written_rows(self, out, depth):
         path = out / "post_ln" / f"depth-{depth:03d}" / "seed-00" / "cosine.csv"
         return csv_columns(path)[1]
+
+    def test_similarity_of_dumped_states_is_the_cell_matrix(self, graph, tmp_path):
+        # up to depth 16 a cell's cosine subsample is every layer
+        spec = replace(self.SPEC, depths=(2, 16), dump_states=True)
+        assert run_sweep(graph, spec, out_dir=str(tmp_path)).all_ok
+        for depth in spec.depths:
+            cell = tmp_path / "post_ln" / f"depth-{depth:03d}" / "seed-00"
+            out = tmp_path / f"similarity-{depth}.csv"
+            argv = ["similarity", "--states", str(cell / "states"), "--out", str(out)]
+            assert main(argv) == 0
+            written = (cell / "cosine.csv").read_text().splitlines()
+            assert len(written) == 4 + depth + 1
+            assert out.read_text().splitlines()[3:] == written[4:]
 
     @pytest.mark.parametrize("zero_row", [False, True])
     def test_matrices_match_unit_row_gram(
@@ -898,6 +910,36 @@ class TestFit:
         f.write_text("1,1\n2,0.5\n3,0.25\n4,0.125\n5,0.0625\n")
         with pytest.raises(SystemExit, match="window"):
             main(["fit", "--series", str(f), "--window", "oops"])
+
+    @pytest.mark.parametrize("rows, window, named", [
+        ([f"{k},{2.0 ** -k}" for k in range(8)], "3:1", "window lo exceeds hi"),
+        (["0,1", "1,0.5", "2,0.25"], "auto", "need at least five positive points"),
+        (["0,1", "1,0.5", "2,half"], "auto", "non-numeric row '2,half'"),
+    ], ids=["reversed-window", "three-points", "non-numeric-row"])
+    def test_unfittable_series_exits_with_one_line(self, tmp_path, rows, window, named):
+        f = tmp_path / "series.csv"
+        f.write_text("\n".join(rows) + "\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--series", str(f), "--window", window])
+        message = str(exit_info.value.code)
+        assert message.startswith(f"graphenergy: {f}: ") and named in message
+        assert "\n" not in message
+
+
+class TestMissingFile:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "{absent}", "--out", "{tmp}/out"],
+        ["stats", "--edges", "{absent}"],
+        ["stats", "--kind", "ring", "--size", "5", "--features", "{absent}"],
+        ["fit", "--series", "{absent}"],
+        ["similarity", "--states", "{absent}", "--out", "{tmp}/cos.csv"],
+    ], ids=["config", "edges", "features", "series", "states"])
+    def test_names_the_file(self, tmp_path, argv):
+        absent = tmp_path / "absent"
+        argv = [a.format(absent=absent, tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == f"graphenergy: {absent}: no such file or directory"
 
 
 class TestConfigFile:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphenergy.diagnostics import (
+    CosineGram,
     EnergySeries,
     cosine_similarity_matrix,
     energy_series,
@@ -13,12 +14,11 @@ from graphenergy.diagnostics import (
     prune_layer_deviation,
     prune_scan,
     relative_change_series,
-    unit_row_gram,
     unit_rows,
 )
 from graphenergy.graph import build_weighted_graph
 from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
-from graphenergy import network
+from graphenergy import cli, network
 from graphenergy.attention import AttentionKind
 from graphenergy.network import (
     LayerTrajectory,
@@ -27,7 +27,13 @@ from graphenergy.network import (
     init_model,
 )
 
-from conftest import P3_EDGES, STATE_TEMPORARIES, random_graph, traced_peak
+from conftest import (
+    P3_EDGES,
+    STATE_TEMPORARIES,
+    random_graph,
+    traced_peak,
+    unit_row_gram,
+)
 
 
 def layer_trajectory(states):
@@ -201,6 +207,90 @@ class TestCosineMatrix:
         assert gram.tobytes() == cosine_similarity_matrix(states).tobytes()
         assert np.isnan(gram[2]).all() and np.isnan(gram[:, 2]).all()
         np.testing.assert_array_equal(np.diag(gram)[[0, 1, 3]], 1.0)
+
+    def test_empty(self):
+        assert cosine_similarity_matrix([]).shape == (0, 0)
+
+
+class TestCosineGram:
+    """Entries taken as the states arrive give each subsample's matrix with
+    the bits of the reference Gram of its unit-row forms, and a form is
+    held only until its last partner has arrived."""
+
+    SUBSAMPLES = ([0, 1, 2], [0, 2, 4, 6, 8], [0, 3, 6, 9, 10, 11])
+
+    @staticmethod
+    def stream(subsamples, states, on_add=None):
+        gram = CosineGram(subsamples)
+        for k, X in enumerate(states):
+            gram.add(k, X)
+            if on_add is not None:
+                on_add(k, gram)
+        return gram
+
+    @pytest.mark.parametrize("zero_row", [None, 0, 4, 11])
+    def test_matrices_are_the_reference_gram(self, zero_row):
+        rng = np.random.default_rng(3)
+        states = [rng.normal(size=(9, 5)) for _ in range(12)]
+        if zero_row is not None:
+            states[zero_row][2] = 0.0
+        gram = self.stream(self.SUBSAMPLES, states)
+        for layers in self.SUBSAMPLES:
+            matrix = gram.matrix(layers)
+            expected = unit_row_gram([unit_rows(states[k]) for k in layers])
+            assert matrix.tobytes() == expected.tobytes()
+            if zero_row in layers:
+                t = layers.index(zero_row)
+                assert np.isnan(matrix[t]).all() and np.isnan(matrix[:, t]).all()
+
+    def test_forms_dropped_after_their_last_partner(self):
+        rng = np.random.default_rng(4)
+        states = [rng.normal(size=(6, 3)) for _ in range(12)]
+        held = {}
+        gram = self.stream(self.SUBSAMPLES, states,
+                           lambda k, gram: held.update({k: sorted(gram._forms)}))
+        assert held[1] == [0, 1]
+        assert held[2] == [0, 2]  # 1's last partner is 2
+        assert held[6] == [0, 2, 3, 4, 6]  # 5 is in no subsample
+        assert held[8] == [0, 3, 6]  # 2's and 4's last partner is 8, and 8 has none
+        assert held[10] == [0, 3, 6, 9, 10]
+        assert held[11] == []
+        # the most held at once: 0, 2, 3, 4, 6 and 8 when 8 arrives
+        assert gram.peak == 6
+
+    def test_peak_of_nested_subsamples_is_the_largest(self):
+        # the sweep's default depths nest: multiples of 16 up to 256, of 8
+        # up to 128, of 4 up to 64, ... so at most 17 forms are held
+        subsamples = [cli._subsample(depth + 1, cli.COSINE_LAYER_CAP)
+                      for depth in cli.DEFAULT_DEPTHS]
+        gram = self.stream(subsamples, [np.ones((2, 2))] * 257)
+        assert gram.peak == max(len(layers) for layers in subsamples) == 17
+        assert not gram._forms
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 10**6))
+    def test_any_subsamples_match_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 30))
+        subsamples = [
+            sorted(rng.choice(count, size=int(rng.integers(1, count + 1)),
+                              replace=False).tolist())
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        states = [rng.normal(size=(4, 2)) for _ in range(count)]
+        gram = self.stream(subsamples, states)
+        assert 1 <= gram.peak <= len(set().union(*subsamples))
+        assert not gram._forms  # every form met its last partner
+        for layers in subsamples:
+            expected = unit_row_gram([unit_rows(states[k]) for k in layers])
+            assert gram.matrix(layers).tobytes() == expected.tobytes()
+
+    def test_states_in_no_subsample_are_ignored(self):
+        gram = CosineGram([[1, 3]])
+        for k in range(5):
+            gram.add(k, np.full((2, 2), k + 1.0))
+        assert gram.peak == 2
+        np.testing.assert_allclose(gram.matrix([1, 3]), np.ones((2, 2)), rtol=1e-15)
 
 
 class TestFitDecay:

