@@ -938,7 +938,16 @@ def cmd_similarity(args) -> int:
     )
     if not names:
         raise SystemExit(f"{args.states}: no layer-*.csv files")
-    states = tuple(load_matrix(os.path.join(args.states, name)) for name in names)
+    states = []
+    for name in names:
+        path = os.path.join(args.states, name)
+        try:
+            states.append(load_matrix(path))
+            if states[-1].shape != states[0].shape:
+                raise ValueError(f"shape {states[-1].shape} differs from "
+                                 f"{names[0]}'s {states[0].shape}")
+        except ValueError as exc:
+            raise SystemExit(f"graphenergy: {path}: {exc}") from None
     matrix = cosine_similarity_matrix(states)
     config_hash = _config_hash({"states": names, "data": _data_digest(states)})
     _write_csv(
@@ -1063,11 +1072,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_expand_config(argv))
         with _one_blas_thread():
             return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         if exc.filename is None:
             raise
         raise SystemExit(
-            f"graphenergy: {exc.filename}: no such file or directory"
+            f"graphenergy: {exc.filename}: {exc.strerror.lower()}"
         ) from None
 
 

@@ -16,7 +16,7 @@ on, so numbers from different architectures are comparable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from graphenergy.network import (
     LayerTrajectory,
     ModelConfig,
     ModelParams,
-    forward_trajectory,
-    pruned_output,
+    NonFiniteLayerError,
+    _decode,
+    _stream,
 )
 
 R_SQUARED_FLOOR = 0.95
@@ -385,26 +386,27 @@ def prune_scan(
 
     ``deviation`` is the relative Frobenius distance between the two
     outputs; ``mean_cosine`` averages per-node cosine similarity. Layer
-    indices are 1-based, matching ``forward_trajectory``. The intact stack
-    runs once and keeps only state k-1 for each requested layer k, next to
-    its decoder output; each pruned stack resumes from that state, so only
-    the layers after the skipped one are recomputed. The resumed stacks
-    read most layers again, so the layers are drawn once, up front, and
-    held for the scan.
+    indices are 1-based, matching ``forward_trajectory``, and reports keep
+    their order. The scan is one pass: each pruned stack starts at its
+    layer from the intact stack's input to it, and each layer is drawn
+    once, applied to every stack under way, and dropped. A non-finite
+    intact stack raises first, then the first of ``layers`` whose stack
+    turned non-finite, with the layer where it did.
     """
-    params = replace(params, layers=tuple(params.layers))
     layers = tuple(layers)
-    intact = forward_trajectory(
-        params, config, G, X_in, keep={layer - 1 for layer in layers}
-    )
-    reference = intact.decoder_output
+    ends = dict.fromkeys(layers)
+    for X, _ in _stream(params, config, G, X_in, None, ends):
+        pass
+    reference = _decode(params, X)
     scale = np.linalg.norm(reference)
     if scale == 0:
         raise ValueError("reference output is identically zero")
     ref_norms = np.linalg.norm(reference, axis=1)
     reports = []
     for layer in layers:
-        candidate = pruned_output(params, config, G, intact, layer)
+        if isinstance(ends[layer], NonFiniteLayerError):
+            raise ends[layer]
+        candidate = _decode(params, ends[layer])
         cand_norms = np.linalg.norm(candidate, axis=1)
         ok = (ref_norms > 0) & (cand_norms > 0)
         cosines = np.full(reference.shape[0], np.nan)

@@ -22,7 +22,8 @@ each state to an optional observer as it is produced and holds only the
 states its caller keeps, so a depth-256 sweep measures every state as
 it arrives and holds only what its writers read later. A non-finite
 state raises with its layer index alone: the observer has already seen
-the finite prefix.
+the finite prefix. Pruned stacks, each skipping one layer, can step
+beside it, so a pruning scan reads every layer once and drops it.
 
 There is no training here. Parameters come from one seeded generator
 so runs are reproducible bitwise; each layer's are drawn when the stream
@@ -290,8 +291,11 @@ def layer_norm(X: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 def feed_forward(X: np.ndarray, layer: LayerParams) -> np.ndarray:
     """Position-wise expansion MLP with a single rectifier."""
-    hidden = np.maximum(X @ layer.ffn_w1 + layer.ffn_b1, 0.0)
-    return hidden @ layer.ffn_w2 + layer.ffn_b2
+    hidden = X @ layer.ffn_w1
+    hidden += layer.ffn_b1
+    out = np.maximum(hidden, 0.0, out=hidden) @ layer.ffn_w2
+    out += layer.ffn_b2
+    return out
 
 
 def _head_operators(X, layer, G, kind):
@@ -310,7 +314,8 @@ def message_passing(
         (P @ X) @ V
         for P, V in zip(_head_operators(X, layer, G, kind), layer.values)
     ]
-    return np.concatenate(parts, axis=1) @ layer.out_weight
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return joined @ layer.out_weight
 
 
 def nonlocal_message_passing(
@@ -340,7 +345,8 @@ def nonlocal_message_passing(
         mults[h] = s
         head *= s
         parts.append(head)
-    return np.concatenate(parts, axis=1) @ layer.out_weight, mults
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return joined @ layer.out_weight, mults
 
 
 def layer_step(
@@ -354,25 +360,21 @@ def layer_step(
     kind = config.attention
     mult = None
     if config.variant == VARIANT_PRE_LN:
-        Y = X + message_passing(
+        Y = message_passing(
             layer_norm(X, layer.norm1_gain, layer.norm1_bias), layer, G, kind
         )
-        X = Y + feed_forward(layer_norm(Y, layer.norm2_gain, layer.norm2_bias), layer)
+        Y += X
+        X = feed_forward(layer_norm(Y, layer.norm2_gain, layer.norm2_bias), layer)
+        X += Y
     else:
         if config.variant == VARIANT_NONLOCAL:
             mp, mult = nonlocal_message_passing(X, layer, G, kind)
         else:
             mp = message_passing(X, layer, G, kind)
-        Y = layer_norm(X + mp, layer.norm1_gain, layer.norm1_bias)
-        X = layer_norm(Y + feed_forward(Y, layer), layer.norm2_gain, layer.norm2_bias)
+        Y = layer_norm(np.add(mp, X, out=mp), layer.norm1_gain, layer.norm1_bias)
+        F = feed_forward(Y, layer)
+        X = layer_norm(np.add(F, Y, out=F), layer.norm2_gain, layer.norm2_bias)
     return X, mult
-
-
-def _check_skip_layer(config: ModelConfig, skip_layer: int | None) -> None:
-    if skip_layer is not None and not 1 <= skip_layer <= config.depth:
-        raise ValueError(
-            f"skip_layer must lie in [1, {config.depth}], got {skip_layer}"
-        )
 
 
 def forward_trajectory(
@@ -397,17 +399,9 @@ def forward_trajectory(
     raise :class:`NonFiniteLayerError` with the offending layer index;
     ``observe`` has seen every state before it.
     """
-    X_in = np.asarray(X_in, dtype=float)
-    if X_in.ndim != 2 or X_in.shape != (G.n, config.input_dim):
-        raise ValueError(
-            f"input of shape {X_in.shape} does not match "
-            f"(n={G.n}, input_dim={config.input_dim})"
-        )
-    _check_skip_layer(config, skip_layer)
-
     states: list[np.ndarray | None] = []
     multipliers: list[np.ndarray | None] = []
-    for X, mult in _stream(params, config, G, X_in, 0, skip_layer):
+    for X, mult in _stream(params, config, G, X_in, skip_layer, {}):
         if observe is not None:
             observe(len(states), X)
         states.append(X if keep is None or len(states) in keep else None)
@@ -419,42 +413,37 @@ def forward_trajectory(
     )
 
 
-def pruned_output(
-    params: ModelParams,
-    config: ModelConfig,
-    G: WeightedGraph,
-    intact: LayerTrajectory,
-    skip_layer: int,
-) -> np.ndarray:
-    """Decoder output of the stack with ``skip_layer`` passed through,
-    resumed from the intact run of the same stack and input.
-
-    Layers before the skipped one compute exactly what ``intact`` already
-    recorded, so state ``skip_layer - 1``, which ``intact`` must have
-    kept, stands in for state ``skip_layer`` and only the layers after it
-    run. The result is bitwise equal to ``forward_trajectory(...,
-    skip_layer=skip_layer).decoder_output``.
-    """
-    _check_skip_layer(config, skip_layer)
-    X = intact.states[skip_layer - 1]
-    if X is None:
-        raise ValueError(f"the intact run did not keep state {skip_layer - 1}")
-    for X, _ in _stream(params, config, G, X, skip_layer + 1):
-        pass
-    return _decode(params, X)
-
-
-def _stream(params, config, G, X, first, skip_layer=None):
-    """Yield ``(X^k, multipliers of layer k)`` for k = ``first`` .. L from
-    ``X = X^(first-1)``, where state -1 is the model input and state 0 the
-    encoder's output. This is the package's one layer loop."""
-    for k in range(first, len(params.layers) + 1):
+def _stream(params, config, G, X, skip_layer, branches):
+    """Yield ``(X^k, multipliers of layer k)`` for k = 0 .. L from the
+    model input ``X``, passing ``skip_layer`` through; state 0 is the
+    encoder's output. This is the package's one layer loop, and it checks
+    its arguments before any layer runs. Beside it, ``branches[j]`` takes
+    X^(j-1) at layer j and steps with each later layer, read once for all
+    stacks, until it turns non-finite and the error takes its place."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape != (G.n, config.input_dim):
+        raise ValueError(
+            f"input of shape {X.shape} does not match "
+            f"(n={G.n}, input_dim={config.input_dim})"
+        )
+    for j in (skip_layer, *branches):
+        if j is not None and not 1 <= j <= config.depth:
+            raise ValueError(f"skip_layer must lie in [1, {config.depth}], got {j}")
+    for k in range(len(params.layers) + 1):
         mult = None
         if k == 0:
             X = np.maximum(X @ params.encoder_w1 + params.encoder_b1, 0.0)
             X = X @ params.encoder_w2 + params.encoder_b2
-        elif skip_layer != k:
-            X, mult = layer_step(X, params.layers[k - 1], config, G)
+        else:
+            layer = params.layers[k - 1]
+            for j, Xj in branches.items():
+                if j < k and isinstance(Xj, np.ndarray):
+                    Xj = layer_step(Xj, layer, config, G)[0]
+                    branches[j] = Xj if np.all(np.isfinite(Xj)) else NonFiniteLayerError(k)
+            if k in branches:
+                branches[k] = X
+            if skip_layer != k:
+                X, mult = layer_step(X, layer, config, G)
         if not np.all(np.isfinite(X)):
             raise NonFiniteLayerError(k)
         yield X, mult

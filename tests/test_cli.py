@@ -986,6 +986,39 @@ class TestSimilarityErrors:
         with pytest.raises(SystemExit, match="layer-"):
             main(["similarity", "--states", str(empty), "--out", str(tmp_path / "o.csv")])
 
+    @staticmethod
+    def exit_line(tmp_path, states) -> str:
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["similarity", "--states", str(states), "--out", str(out)])
+        assert not out.exists()
+        message = str(exit_info.value.code)
+        assert "\n" not in message
+        return message
+
+    def test_states_of_different_shapes(self, tmp_path):
+        states = tmp_path / "states"
+        states.mkdir()
+        write_matrix(states / "layer-000.csv", np.ones((2, 2)))
+        write_matrix(states / "layer-001.csv", np.ones((3, 2)))
+        assert self.exit_line(tmp_path, states) == (
+            f"graphenergy: {states / 'layer-001.csv'}: shape (3, 2) differs "
+            "from layer-000.csv's (2, 2)")
+
+    def test_non_numeric_entry(self, tmp_path):
+        states = tmp_path / "states"
+        states.mkdir()
+        write_matrix(states / "layer-000.csv", np.ones((2, 2)))
+        (states / "layer-001.csv").write_text("1.0,1.0\n1.0,oops\n")
+        message = self.exit_line(tmp_path, states)
+        assert message.startswith(f"graphenergy: {states / 'layer-001.csv'}: ")
+        assert "'oops'" in message
+
+    def test_states_path_is_a_file(self, tmp_path):
+        states = tmp_path / "layer-000.csv"
+        write_matrix(states, np.ones((2, 2)))
+        assert self.exit_line(tmp_path, states) == f"graphenergy: {states}: not a directory"
+
     def test_matrix_inputs(self, tmp_path):
         states = tmp_path / "states"
         states.mkdir()

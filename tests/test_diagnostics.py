@@ -21,8 +21,10 @@ from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
 from graphenergy import cli, network
 from graphenergy.attention import AttentionKind
 from graphenergy.network import (
+    MODEL_VARIANTS,
     LayerTrajectory,
     ModelConfig,
+    NonFiniteLayerError,
     forward_trajectory,
     init_model,
 )
@@ -429,7 +431,7 @@ class TestPrune:
         with pytest.raises(ValueError, match="skip_layer"):
             prune_layer_deviation(params, cfg, p3, X, layer=3)
 
-    @pytest.mark.parametrize("variant", ("pre_ln", "nonlocal_post_ln"))
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
     def test_scan_matches_skip_layer_oracle(self, variant):
         rng = np.random.default_rng(40)
         G, _ = random_graph(rng, 12)
@@ -438,9 +440,10 @@ class TestPrune:
                           heads=2, variant=variant,
                           attention=AttentionKind("san"), seed=6)
         params = init_model(cfg)
-        layers = (9, 1, 5)
+        layers = (9, 1, 5, 1, 9, 2)  # unsorted, with repeats
         reports = prune_scan(params, cfg, G, X, layers)
         assert [r.layer for r in reports] == list(layers)
+        assert reports[1] == reports[3] and reports[0] == reports[4]
 
         reference = forward_trajectory(params, cfg, G, X).decoder_output
         ref_norms = np.linalg.norm(reference, axis=1)
@@ -482,8 +485,61 @@ class TestPrune:
         _, peak = traced_peak(lambda: prune_scan(params, cfg, G, X, layers))
         assert peak < (len(layers) + STATE_TEMPORARIES) * n * hidden * 8
 
-    def test_scan_out_of_range_layer(self, p3):
+    def test_scan_memory_does_not_grow_with_depth(self):
+        n, hidden, layers = 3000, 16, (32, 48, 62)
+        G = generate_graph(SyntheticSpec(kind="ring", size=n, seed=0))
+        X = random_features(n, 8, seed=7)
+        cfg = ModelConfig(input_dim=8, output_dim=3, depth=1, hidden_dim=hidden)
+        prune_scan(init_model(cfg), cfg, G, X, (1,))  # build G's caches
+        peaks = []
+        for depth in (64, 256):
+            deep = replace(cfg, depth=depth)
+            params = init_model(deep)
+            _, peak = traced_peak(lambda: prune_scan(params, deep, G, X, layers))
+            peaks.append(peak)
+        # four times the layers may not cost one more state
+        assert peaks[1] - peaks[0] < n * hidden * 8
+
+    def test_scan_out_of_range_layer(self, p3, monkeypatch):
         cfg = ModelConfig(input_dim=2, output_dim=2, depth=2, hidden_dim=4)
         params = init_model(cfg)
+        monkeypatch.setattr(network, "layer_step", None)  # no layer may run
         with pytest.raises(ValueError, match="skip_layer"):
             prune_scan(params, cfg, p3, np.ones((3, 2)), (1, 0))
+        with pytest.raises(ValueError, match="skip_layer"):
+            prune_scan(params, cfg, p3, np.ones((3, 2)), (2, 3))
+
+    def test_scan_nonfinite_precedence(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        G, _ = random_graph(rng, 8)
+        X = rng.normal(size=(8, 3))
+        cfg = ModelConfig(input_dim=3, output_dim=2, depth=6, hidden_dim=4)
+        params = init_model(cfg)
+        params = replace(params, layers=tuple(params.layers))
+        intact = forward_trajectory(params, cfg, G, X)
+        real = network.layer_step
+        index = {id(layer): k for k, layer in enumerate(params.layers, start=1)}
+        broken = {}  # layer -> whether it fails on the intact input too
+
+        def step(state, layer, config, graph):
+            k = index[id(layer)]
+            if k in broken and (broken[k] or not np.array_equal(
+                    state, intact.states[k - 1])):
+                return np.full_like(state, np.nan), None
+            return real(state, layer, config, graph)
+
+        monkeypatch.setattr(network, "layer_step", step)
+        # layers 3 and 5 fail on any input but the intact stack's: the
+        # stack that skips 2 fails at 3, the one that skips 4 at 5, and
+        # the one that skips 5 never fails
+        broken.update({3: False, 5: False})
+        for layers, failed_at in (((4, 2), 5), ((2, 4), 3), ((5, 4, 2), 5)):
+            with pytest.raises(NonFiniteLayerError) as err:
+                prune_scan(params, cfg, G, X, layers)
+            assert err.value.layer == failed_at
+        assert prune_scan(params, cfg, G, X, (5,))[0].deviation > 0
+        # a non-finite intact stack comes first, even after pruned ones
+        broken[6] = True
+        with pytest.raises(NonFiniteLayerError) as err:
+            prune_scan(params, cfg, G, X, (2, 4))
+        assert err.value.layer == 6

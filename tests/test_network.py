@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from graphenergy import network
 from graphenergy.attention import SCORE_VARIANTS, AttentionKind, AttentionParams
 from graphenergy.graph import build_weighted_graph
 from graphenergy.network import (
@@ -25,7 +26,6 @@ from graphenergy.network import (
     layer_norm,
     message_passing,
     nonlocal_message_passing,
-    pruned_output,
 )
 
 from conftest import random_graph
@@ -379,7 +379,7 @@ class TestPrefixInvariant:
         assert _bits(short.multipliers) == _bits(long.multipliers[:3])
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
-    def test_pruned_output_matches_skip_layer(self, variant):
+    def test_stream_branches_match_skip_layer(self, variant):
         rng = np.random.default_rng(31)
         G, _ = random_graph(rng, 10)
         X = rng.normal(size=(10, 3))
@@ -388,13 +388,17 @@ class TestPrefixInvariant:
                           attention=AttentionKind("gat"), seed=2)
         params = init_model(cfg)
         intact = forward_trajectory(params, cfg, G, X)
+        branches = dict.fromkeys((5, 1, 3, 2, 4))
+        stream = list(network._stream(params, cfg, G, X, None, branches))
+        # the stacks beside it leave the stack itself untouched
+        assert _bits(tuple(state for state, _ in stream)) == _bits(intact.states)
+        assert _bits(tuple(m for _, m in stream[1:])) == _bits(intact.multipliers)
         for layer in range(1, 6):
             skipped = forward_trajectory(params, cfg, G, X, skip_layer=layer)
-            assert _bits(pruned_output(params, cfg, G, intact, layer)) == _bits(
-                skipped.decoder_output)
+            assert _bits(branches[layer]) == _bits(skipped.states[-1])
         for layer in (0, 6):
             with pytest.raises(ValueError, match="skip_layer"):
-                pruned_output(params, cfg, G, intact, layer)
+                next(network._stream(params, cfg, G, X, None, {1: None, layer: None}))
 
     def test_nonfinite_error_carries_finite_prefix(self):
         rng = np.random.default_rng(32)
@@ -434,10 +438,6 @@ class TestPrefixInvariant:
         assert _bits(kept.states[4]) == _bits(full.states[4])
         assert _bits(kept.multipliers) == _bits(full.multipliers)
         assert _bits(kept.decoder_output) == _bits(full.decoder_output)
-        assert _bits(pruned_output(params, cfg, G, kept, 5)) == _bits(
-            pruned_output(params, cfg, G, full, 5))
-        with pytest.raises(ValueError, match="did not keep state 2"):
-            pruned_output(params, cfg, G, kept, 3)
 
         layers = list(params.layers)
         layers[2] = dataclasses.replace(
