@@ -315,7 +315,7 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
             in_flight.append(meter.submit(measure, k, state))
 
         try:
-            forward_trajectory(init_model(cfg), cfg, G, X, keep=(), observe=observe)
+            forward_trajectory(init_model(cfg), cfg, G, X, observe=observe)
         except NonFiniteLayerError as exc:
             failure, reached = exc, exc.layer
         except Exception as exc:  # capture per trajectory, keep the sweep alive
@@ -628,10 +628,15 @@ def _synthetic_spec_from_args(args) -> SyntheticSpec:
 
 
 def _resolve_graph(args) -> tuple[WeightedGraph, str]:
-    if args.edges:
-        G = load_edge_list(args.edges)
-    else:
-        G = generate_graph(_synthetic_spec_from_args(args))
+    """The graph ``--edges`` names or the generator flags describe. A bad
+    edge list, or a generator out of retries, exits with one line."""
+    try:
+        if args.edges:
+            G = load_edge_list(args.edges)
+        else:
+            G = generate_graph(_synthetic_spec_from_args(args))
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"graphenergy: {exc}") from None
     return G, _graph_label(args)
 
 
@@ -709,6 +714,8 @@ def cmd_sweep(args) -> int:
             dump_states=args.dump_states,
             write_cosine=not args.no_cosine,
         )
+        if args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
     except ValueError as exc:
         raise SystemExit(f"bad sweep arguments: {exc}") from None
     G, _ = _resolve_graph(args)
@@ -829,6 +836,9 @@ def cmd_prune(args) -> int:
             variant=args.variant,
             attention=attention,
         )
+        for layer in args.layers:
+            if not 1 <= layer <= args.depth:
+                raise ValueError(f"layer {layer} lies outside [1, {args.depth}]")
     except ValueError as exc:
         raise SystemExit(f"bad model arguments: {exc}") from None
     G, label = _resolve_graph(args)
@@ -877,8 +887,10 @@ def cmd_prune(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = _synthetic_spec_from_args(args)
-    G = generate_graph(spec)
+    try:
+        G = generate_graph(_synthetic_spec_from_args(args))
+    except RuntimeError as exc:
+        raise SystemExit(f"graphenergy: {exc}") from None
     write_edge_list(args.out, G)
     stats = dataset_stats(G)
     print(
@@ -890,7 +902,10 @@ def cmd_gen(args) -> int:
 
 def cmd_stats(args) -> int:
     G, label = _resolve_graph(args)
-    features = load_features(args.features, G.n) if args.features else None
+    try:
+        features = load_features(args.features, G.n) if args.features else None
+    except ValueError as exc:
+        raise SystemExit(f"graphenergy: {exc}") from None
     stats = dataset_stats(G, features=features)
     parts = [f"nodes {stats.nodes}", f"edges {stats.edges}"]
     if stats.feature_dim is not None:

@@ -1,12 +1,12 @@
 """Measurement helpers for layer stacks and flows.
 
-Everything here consumes recorded trajectories and produces plot-ready
-series: smoothness energies per layer, relative energy increments with a
-stall verdict, pairwise cosine similarity between states (one
-:class:`CosineGram`, which takes each pair as its later state arrives and
-keeps unit-row forms only until their last partner has come),
-least-squares decay-law fits, and the representation cost of skipping a
-single layer.
+Everything here consumes states or the series measured from them and
+produces plot-ready series: smoothness energies per layer, relative
+energy increments with a stall verdict, pairwise cosine similarity
+between states (one :class:`CosineGram`, which takes each pair as its
+later state arrives and keeps unit-row forms only until their last
+partner has come), least-squares decay-law fits, and the representation
+cost of pruning a single layer.
 
 Energies are always measured on the canonical unit-weight graph
 (``canonical_energy_graph``), whatever weights the trajectory itself ran
@@ -26,7 +26,6 @@ from graphenergy.graph import (
     derivative_energy,
 )
 from graphenergy.network import (
-    LayerTrajectory,
     ModelConfig,
     ModelParams,
     NonFiniteLayerError,
@@ -140,23 +139,17 @@ class PruneReport:
     mean_cosine: float
 
 
-def energy_series(trajectory, order: int = 2, *, topology: WeightedGraph) -> EnergySeries:
-    """Measure every state of a layer trajectory on the canonical
-    unit-weight graph built over ``topology``; indices are layer numbers.
+def energy_series(states, order: int = 2, *, topology: WeightedGraph) -> EnergySeries:
+    """Measure a sequence of states, such as the ones a forward pass hands
+    its ``observe`` callback, on the canonical unit-weight graph built over
+    ``topology``; indices are positions in the sequence (layer numbers).
 
-    Flows measure their records as they produce them (see the ``observe``
-    argument of the ``simulate_*`` functions) and keep no states to pass
-    here.
+    The sweep and the flows measure each state as it is produced and keep
+    none to pass here.
     """
-    if not isinstance(trajectory, LayerTrajectory):
-        raise TypeError(f"unsupported trajectory type {type(trajectory).__name__}")
-    states = trajectory.states
-    unkept = [k for k, X in enumerate(states) if X is None]
-    if unkept:
-        raise ValueError(f"the trajectory did not keep state {unkept[0]}")
     canonical = canonical_energy_graph(topology)
     values = np.array([derivative_energy(canonical, X, order) for X in states])
-    return EnergySeries(indices=np.arange(len(states), dtype=float), values=values)
+    return EnergySeries(indices=np.arange(values.size, dtype=float), values=values)
 
 
 def relative_change_series(
@@ -382,20 +375,21 @@ def prune_scan(
     layers: Iterable[int],
 ) -> tuple[PruneReport, ...]:
     """Compare decoder outputs of the intact stack against the stack with
-    one layer's input passed through untouched, for each of ``layers``.
+    one layer omitted, for each of ``layers``; this is the package's one
+    way to prune.
 
     ``deviation`` is the relative Frobenius distance between the two
-    outputs; ``mean_cosine`` averages per-node cosine similarity. Layer
-    indices are 1-based, matching ``forward_trajectory``, and reports keep
-    their order. The scan is one pass: each pruned stack starts at its
-    layer from the intact stack's input to it, and each layer is drawn
-    once, applied to every stack under way, and dropped. A non-finite
-    intact stack raises first, then the first of ``layers`` whose stack
-    turned non-finite, with the layer where it did.
+    outputs; ``mean_cosine`` averages per-node cosine similarity. Layer k
+    is 1-based and maps X^(k-1) to X^k, and reports keep their order. The
+    scan is one pass: each pruned stack starts at its layer from the
+    intact stack's input to it, and each layer is drawn once, applied to
+    every stack under way, and dropped. A non-finite intact stack raises
+    first, then the first of ``layers`` whose stack turned non-finite,
+    with the layer where it did.
     """
     layers = tuple(layers)
     ends = dict.fromkeys(layers)
-    for X, _ in _stream(params, config, G, X_in, None, ends):
+    for X, _ in _stream(params, config, G, X_in, ends):
         pass
     reference = _decode(params, X)
     scale = np.linalg.norm(reference)

@@ -18,12 +18,12 @@ on top of the plain head.
 
 The forward pass is one stream of states X^0 .. X^L, with the layer
 loop and its finiteness check in one place. ``forward_trajectory`` hands
-each state to an optional observer as it is produced and holds only the
-states its caller keeps, so a depth-256 sweep measures every state as
-it arrives and holds only what its writers read later. A non-finite
-state raises with its layer index alone: the observer has already seen
-the finite prefix. Pruned stacks, each skipping one layer, can step
-beside it, so a pruning scan reads every layer once and drops it.
+each state to an optional observer as it is produced and keeps none, so
+a depth-256 sweep measures every state as it arrives and holds only what
+its writers read later. A non-finite state raises with its layer index
+alone: the observer has already seen the finite prefix. Pruned stacks,
+each without one layer, can step beside it, so a pruning scan
+(``diagnostics.prune_scan``) reads every layer once and drops it.
 
 There is no training here. Parameters come from one seeded generator
 so runs are reproducible bitwise; each layer's are drawn when the stream
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Container, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,8 +126,8 @@ class LayerParams:
 class ModelParams:
     """A stack's parameters. :func:`init_model` fills ``layers`` with a
     :class:`DrawnLayers` that draws each layer when it is read; any other
-    sequence of :class:`LayerParams` (a tuple with one layer replaced, in
-    tests) works the same."""
+    sequence of :class:`LayerParams` works the same, such as a tuple
+    without layer k: the stack ``prune_scan`` steps beside the intact one."""
 
     encoder_w1: np.ndarray
     encoder_b1: np.ndarray
@@ -140,19 +140,14 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class LayerTrajectory:
-    """Recorded forward pass: X^0 .. X^L, the decoder output and the
-    per-layer scalars.
-
-    The depth L is ``len(states) - 1``. ``states[k]`` is None where the
-    run did not keep X^k (see the ``keep`` argument of
-    :func:`forward_trajectory`).
+    """What a forward pass leaves once its states have streamed past: the
+    decoder output and the per-layer scalars.
 
     ``multipliers[k]`` holds the gating scalars of layer k+1 (one per
-    head) for the gated variant and None otherwise; pruned layers also
-    record None.
+    head) for the gated variant and None otherwise, so the depth L is
+    ``len(multipliers)``.
     """
 
-    states: tuple[np.ndarray | None, ...]
     decoder_output: np.ndarray
     multipliers: tuple[np.ndarray | None, ...]
 
@@ -382,53 +377,44 @@ def forward_trajectory(
     config: ModelConfig,
     G: WeightedGraph,
     X_in: np.ndarray,
-    skip_layer: int | None = None,
     *,
-    keep: Container[int] | None = None,
     observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> LayerTrajectory:
-    """Run the stack as a stream of states X^0 .. X^L and collect it.
+    """Run the stack as a stream of states X^0 .. X^L.
 
-    ``observe(k, X)``, when given, sees each state as it is produced.
-    ``keep`` names the states the trajectory holds on to (default all);
-    the others are recorded as None, so a caller that measures states
-    through ``observe`` holds only what it reads later.
-
-    ``skip_layer`` (1-based) passes that layer's input through untouched,
-    which is the pruning used by the depth diagnostics. Non-finite values
-    raise :class:`NonFiniteLayerError` with the offending layer index;
-    ``observe`` has seen every state before it.
+    ``observe(k, X)``, when given, sees each state as it is produced; no
+    state is kept. Non-finite values raise :class:`NonFiniteLayerError`
+    with the offending layer index; ``observe`` has seen every state
+    before it.
     """
-    states: list[np.ndarray | None] = []
     multipliers: list[np.ndarray | None] = []
-    for X, mult in _stream(params, config, G, X_in, skip_layer, {}):
+    for k, (X, mult) in enumerate(_stream(params, config, G, X_in, {})):
         if observe is not None:
-            observe(len(states), X)
-        states.append(X if keep is None or len(states) in keep else None)
+            observe(k, X)
         multipliers.append(mult)
     return LayerTrajectory(
-        states=tuple(states),
         decoder_output=_decode(params, X),
         multipliers=tuple(multipliers[1:]),  # the encoder has none
     )
 
 
-def _stream(params, config, G, X, skip_layer, branches):
+def _stream(params, config, G, X, branches):
     """Yield ``(X^k, multipliers of layer k)`` for k = 0 .. L from the
-    model input ``X``, passing ``skip_layer`` through; state 0 is the
-    encoder's output. This is the package's one layer loop, and it checks
-    its arguments before any layer runs. Beside it, ``branches[j]`` takes
-    X^(j-1) at layer j and steps with each later layer, read once for all
-    stacks, until it turns non-finite and the error takes its place."""
+    model input ``X``; state 0 is the encoder's output. This is the
+    package's one layer loop, and it checks its arguments before any
+    layer runs. Beside it, ``branches[j]`` is the stack without layer j:
+    it takes X^(j-1) at layer j and steps with each later layer, read
+    once for all stacks, until it turns non-finite and the error takes
+    its place."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape != (G.n, config.input_dim):
         raise ValueError(
             f"input of shape {X.shape} does not match "
             f"(n={G.n}, input_dim={config.input_dim})"
         )
-    for j in (skip_layer, *branches):
-        if j is not None and not 1 <= j <= config.depth:
-            raise ValueError(f"skip_layer must lie in [1, {config.depth}], got {j}")
+    for j in branches:
+        if not 1 <= j <= config.depth:
+            raise ValueError(f"pruned layer must lie in [1, {config.depth}], got {j}")
     for k in range(len(params.layers) + 1):
         mult = None
         if k == 0:
@@ -442,8 +428,7 @@ def _stream(params, config, G, X, skip_layer, branches):
                     branches[j] = Xj if np.all(np.isfinite(Xj)) else NonFiniteLayerError(k)
             if k in branches:
                 branches[k] = X
-            if skip_layer != k:
-                X, mult = layer_step(X, layer, config, G)
+            X, mult = layer_step(X, layer, config, G)
         if not np.all(np.isfinite(X)):
             raise NonFiniteLayerError(k)
         yield X, mult

@@ -18,6 +18,7 @@ from scipy.linalg import eigh
 
 from graphenergy.dynamics import FlowTrajectory
 from graphenergy.graph import WeightedGraph, build_weighted_graph
+from graphenergy.network import ModelParams, forward_trajectory
 
 P3_EDGES = [(0, 1, 1.0), (1, 2, 1.0)]
 
@@ -247,6 +248,22 @@ def collect(simulate, G, X0, spec):
     states = []
     traj = simulate(G, X0, spec, observe=lambda t, X: states.append(X.copy()))
     return traj, states
+
+
+def stack_states(params, config, G, X):
+    """Run a stack; return its trajectory and every state X^0 .. X^L,
+    gathered through ``observe``."""
+    states = []
+    traj = forward_trajectory(params, config, G, X,
+                              observe=lambda k, state: states.append(state))
+    return traj, states
+
+
+def omitted_layer(params: ModelParams, k: int) -> ModelParams:
+    """``params`` without layer k (1-based): the stack a prune scan steps
+    beside the intact one, built without the scan's branch code."""
+    return dataclasses.replace(
+        params, layers=params.layers[:k - 1] + params.layers[k:])
 
 
 # Bound on one layer's and one energy's temporaries, in n x d float64

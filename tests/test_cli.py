@@ -27,9 +27,16 @@ from graphenergy.ingest import (
     random_features,
     write_matrix,
 )
-from graphenergy.network import ModelConfig, forward_trajectory, init_model
+from graphenergy.network import ModelConfig, init_model
 
-from conftest import STATE_TEMPORARIES, collect, nbytes, traced_peak, unit_row_gram
+from conftest import (
+    STATE_TEMPORARIES,
+    collect,
+    nbytes,
+    stack_states,
+    traced_peak,
+    unit_row_gram,
+)
 
 
 def read_file_map(root):
@@ -168,6 +175,15 @@ class TestSweep:
         for key in a:
             assert a[key] == b[key], f"{key} differs between reruns"
 
+    def test_workers_below_one_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
+        args = self.sweep_args(tmp_path, "run")
+        for workers in (0, -1):
+            with pytest.raises(SystemExit, match=rf"^bad sweep arguments: workers must "
+                                                 rf"be at least 1, got {workers}$"):
+                main(args + ["--workers", str(workers)])
+        assert not (tmp_path / "run").exists()
+
     def test_job_failure_sets_exit_code(self, tmp_path, monkeypatch):
         real = cli.forward_trajectory
 
@@ -266,7 +282,7 @@ class TestSweepPrefixes:
         )
         X = random_features(G.n, spec.input_dim, seed=spec.feature_seed)
         series = energy_series(
-            forward_trajectory(init_model(cfg), cfg, G, X), topology=G
+            stack_states(init_model(cfg), cfg, G, X)[1], topology=G
         )
         try:
             fit = fit_decay(series)
@@ -448,7 +464,7 @@ class TestSweepCosine:
             input_dim=spec.input_dim, output_dim=spec.output_dim,
             depth=max(spec.depths), hidden_dim=spec.hidden_dim, seed=0,
         )
-        states = forward_trajectory(params or init_model(cfg), cfg, G, X).states
+        _, states = stack_states(params or init_model(cfg), cfg, G, X)
         keep = cli._subsample(depth + 1, cli.COSINE_LAYER_CAP)
         matrix = unit_row_gram([unit_rows(states[k]) for k in keep])
         return [[repr(float(x)) for x in row] for row in matrix]
@@ -819,15 +835,20 @@ class TestPrune:
             )
         assert not (tmp_path / "prune").exists()
 
-    def test_layer_out_of_range(self, tmp_path):
-        with pytest.raises(ValueError, match="skip_layer"):
-            main(
-                [
-                    "prune", "--kind", "ring", "--size", "10",
-                    "--depth", "4", "--layers", "0",
-                    "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
-                ]
-            )
+    def test_layer_out_of_range(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
+        for layer in (0, 5):
+            with pytest.raises(SystemExit, match=rf"^bad model arguments: layer {layer} "
+                                                 r"lies outside \[1, 4\]$"):
+                main(
+                    [
+                        "prune", "--kind", "ring", "--size", "10",
+                        "--depth", "4", "--layers", f"2,{layer}",
+                        "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
+                        "--out", str(tmp_path / "prune"),
+                    ]
+                )
+            assert not (tmp_path / "prune").exists()
 
 
 PRUNE_ARGS = [
@@ -940,6 +961,46 @@ class TestMissingFile:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == f"graphenergy: {absent}: no such file or directory"
+
+
+class TestBadGraphSource:
+    SPARSE = ["--kind", "erdos-renyi", "--size", "50", "--edge-prob", "0.01",
+              "--retries", "2"]
+    MODEL = ["--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--edges", "{loop}", "--depths", "2", *MODEL, "--out", "{out}"],
+         "{loop}:2: self-loop (2, 2) not allowed"),
+        (["flow", "--edges", "{bad}", "--flow", "heat", "--horizon", "1",
+          "--out", "{out}"],
+         "{bad}:2: expected 'i j' or 'i j w', got '1'"),
+        (["prune", "--edges", "{loop}", "--depth", "2", "--layers", "1", *MODEL,
+          "--out", "{out}"],
+         "{loop}:2: self-loop (2, 2) not allowed"),
+        (["stats", "--edges", "{bad}"], "{bad}:2: expected 'i j' or 'i j w', got '1'"),
+        (["stats", "--kind", "ring", "--size", "5", "--features", "{rows}"],
+         "{rows}: expected 5 rows, found 2"),
+        (["stats", "--kind", "ring", "--size", "5", "--features", "{token}"],
+         "{token}:2: column 2: non-numeric token 'x'"),
+        (["gen", *SPARSE, "--out", "{out}"], "no connected sample within 2 draws"),
+        (["flow", *SPARSE, "--flow", "heat", "--horizon", "1", "--out", "{out}"],
+         "no connected sample within 2 draws"),
+    ], ids=["sweep-loop", "flow-malformed", "prune-loop", "stats-malformed",
+            "stats-rows", "stats-token", "gen-retries", "flow-retries"])
+    def test_exits_with_one_line(self, tmp_path, argv, message):
+        files = {"loop": "0 1\n2 2\n", "bad": "0 1\n1\n",
+                 "rows": "1,2\n3,4\n", "token": "1,2\n3,x\n"}
+        paths = {"out": tmp_path / "out"}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        argv = [a.format(**paths) for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        text = str(exit_info.value.code)
+        assert text.startswith("graphenergy: ") and "\n" not in text
+        assert message.format(**paths) in text
+        assert not paths["out"].exists()
 
 
 class TestConfigFile:

@@ -22,7 +22,6 @@ from graphenergy import cli, network
 from graphenergy.attention import AttentionKind
 from graphenergy.network import (
     MODEL_VARIANTS,
-    LayerTrajectory,
     ModelConfig,
     NonFiniteLayerError,
     forward_trajectory,
@@ -32,19 +31,12 @@ from graphenergy.network import (
 from conftest import (
     P3_EDGES,
     STATE_TEMPORARIES,
+    omitted_layer,
     random_graph,
+    stack_states,
     traced_peak,
     unit_row_gram,
 )
-
-
-def layer_trajectory(states):
-    states = tuple(np.atleast_2d(np.asarray(s, dtype=float).T).T for s in states)
-    return LayerTrajectory(
-        states=states,
-        decoder_output=states[-1],
-        multipliers=(None,) * (len(states) - 1),
-    )
 
 
 def series(values, indices=None):
@@ -74,41 +66,26 @@ class TestEnergySeries:
             s.values[0] = 5.0
 
     def test_constant_trajectory_measures_zero(self, p3):
-        traj = layer_trajectory([np.ones((3, 2)), np.ones((3, 2))])
-        s = energy_series(traj, topology=p3)
+        s = energy_series([np.ones((3, 2)), np.ones((3, 2))], topology=p3)
         np.testing.assert_array_equal(s.values, [0.0, 0.0])
         np.testing.assert_array_equal(s.indices, [0.0, 1.0])
 
     def test_p3_ramp_values(self, p3):
-        ramp = np.array([0.0, 1.0, 2.0])
-        traj = layer_trajectory([ramp, ramp])
+        ramp = np.array([[0.0], [1.0], [2.0]])
+        states = [ramp, ramp]
         np.testing.assert_allclose(
-            energy_series(traj, 2, topology=p3).values, [1 / 3, 1 / 3], atol=1e-15
+            energy_series(states, 2, topology=p3).values, [1 / 3, 1 / 3], atol=1e-15
         )
         np.testing.assert_allclose(
-            energy_series(traj, 1, topology=p3).values, [2 / 3, 2 / 3], atol=1e-15
+            energy_series(states, 1, topology=p3).values, [2 / 3, 2 / 3], atol=1e-15
         )
 
     def test_measured_on_canonical_graph(self):
         # same topology, different weights: energies must not change
         heavy = build_weighted_graph([(0, 1, 5.0), (1, 2, 5.0)])
-        ramp = np.array([0.0, 1.0, 2.0])
-        traj = layer_trajectory([ramp])
-        s = energy_series(traj, 2, topology=heavy)
+        ramp = np.array([[0.0], [1.0], [2.0]])
+        s = energy_series([ramp], 2, topology=heavy)
         np.testing.assert_allclose(s.values, [1 / 3], atol=1e-15)
-
-    def test_unkept_state_is_named(self):
-        rng = np.random.default_rng(3)
-        G, _ = random_graph(rng, 12)
-        cfg = ModelConfig(input_dim=3, output_dim=2, depth=3, hidden_dim=4)
-        traj = forward_trajectory(
-            init_model(cfg), cfg, G, rng.normal(size=(12, 3)), keep={1})
-        with pytest.raises(ValueError, match="did not keep state 0"):
-            energy_series(traj, topology=G)
-
-    def test_unsupported_trajectory(self, p3):
-        with pytest.raises(TypeError, match="unsupported"):
-            energy_series(object(), topology=p3)
 
 
 class TestRelativeChange:
@@ -385,9 +362,9 @@ class TestFitDecay:
                 variant=variant,
                 seed=seed,
             )
-            traj = forward_trajectory(init_model(cfg), cfg, G, X)
+            _, states = stack_states(init_model(cfg), cfg, G, X)
             kinds = [
-                fit_decay(energy_series(traj, m, topology=G)).classification
+                fit_decay(energy_series(states, m, topology=G)).classification
                 for m in (1, 2)
             ]
             assert kinds[0] == kinds[1], f"seed {seed}: {kinds}"
@@ -416,7 +393,7 @@ class TestPrune:
         params = init_model(cfg)
         X = np.random.default_rng(4).normal(size=(3, 2))
         report = prune_layer_deviation(params, cfg, p3, X, layer=1)
-        pruned = forward_trajectory(params, cfg, p3, X, skip_layer=1)
+        pruned = forward_trajectory(omitted_layer(params, 1), cfg, p3, X)
         full = forward_trajectory(params, cfg, p3, X)
         expected = np.linalg.norm(
             pruned.decoder_output - full.decoder_output
@@ -428,7 +405,7 @@ class TestPrune:
         cfg = ModelConfig(input_dim=2, output_dim=2, depth=2, hidden_dim=4)
         params = init_model(cfg)
         X = np.ones((3, 2))
-        with pytest.raises(ValueError, match="skip_layer"):
+        with pytest.raises(ValueError, match="pruned layer must lie in"):
             prune_layer_deviation(params, cfg, p3, X, layer=3)
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
@@ -445,11 +422,12 @@ class TestPrune:
         assert [r.layer for r in reports] == list(layers)
         assert reports[1] == reports[3] and reports[0] == reports[4]
 
+        # the oracle skips layer k by leaving it out of an intact pass
         reference = forward_trajectory(params, cfg, G, X).decoder_output
         ref_norms = np.linalg.norm(reference, axis=1)
         for report in reports:
             candidate = forward_trajectory(
-                params, cfg, G, X, skip_layer=report.layer).decoder_output
+                omitted_layer(params, report.layer), cfg, G, X).decoder_output
             deviation = float(np.linalg.norm(candidate - reference)
                               / np.linalg.norm(reference))
             cosines = (reference * candidate).sum(axis=1) / (
@@ -504,9 +482,9 @@ class TestPrune:
         cfg = ModelConfig(input_dim=2, output_dim=2, depth=2, hidden_dim=4)
         params = init_model(cfg)
         monkeypatch.setattr(network, "layer_step", None)  # no layer may run
-        with pytest.raises(ValueError, match="skip_layer"):
+        with pytest.raises(ValueError, match="pruned layer must lie in"):
             prune_scan(params, cfg, p3, np.ones((3, 2)), (1, 0))
-        with pytest.raises(ValueError, match="skip_layer"):
+        with pytest.raises(ValueError, match="pruned layer must lie in"):
             prune_scan(params, cfg, p3, np.ones((3, 2)), (2, 3))
 
     def test_scan_nonfinite_precedence(self, monkeypatch):
@@ -516,7 +494,7 @@ class TestPrune:
         cfg = ModelConfig(input_dim=3, output_dim=2, depth=6, hidden_dim=4)
         params = init_model(cfg)
         params = replace(params, layers=tuple(params.layers))
-        intact = forward_trajectory(params, cfg, G, X)
+        _, intact = stack_states(params, cfg, G, X)
         real = network.layer_step
         index = {id(layer): k for k, layer in enumerate(params.layers, start=1)}
         broken = {}  # layer -> whether it fails on the intact input too
@@ -524,7 +502,7 @@ class TestPrune:
         def step(state, layer, config, graph):
             k = index[id(layer)]
             if k in broken and (broken[k] or not np.array_equal(
-                    state, intact.states[k - 1])):
+                    state, intact[k - 1])):
                 return np.full_like(state, np.nan), None
             return real(state, layer, config, graph)
 

@@ -28,7 +28,7 @@ from graphenergy.network import (
     nonlocal_message_passing,
 )
 
-from conftest import random_graph
+from conftest import omitted_layer, random_graph, stack_states
 
 
 def identity_layer(d: int, heads: int = 1) -> LayerParams:
@@ -218,18 +218,18 @@ class TestForward:
         rng = np.random.default_rng(14)
         G, _ = random_graph(rng, 9)
         cfg = self._config(G, depth=4)
-        traj = forward_trajectory(init_model(cfg), cfg, G, rng.normal(size=(9, 3)))
-        assert len(traj.states) == 5
+        traj, states = stack_states(init_model(cfg), cfg, G, rng.normal(size=(9, 3)))
+        assert len(states) == 5
         assert len(traj.multipliers) == 4
-        assert traj.states[0].shape == (9, 8)
+        assert states[0].shape == (9, 8)
         assert traj.decoder_output.shape == (9, 2)
 
     def test_depth_zero(self):
         rng = np.random.default_rng(15)
         G, _ = random_graph(rng, 6)
         cfg = self._config(G, depth=0)
-        traj = forward_trajectory(init_model(cfg), cfg, G, rng.normal(size=(6, 3)))
-        assert len(traj.states) == 1
+        traj, states = stack_states(init_model(cfg), cfg, G, rng.normal(size=(6, 3)))
+        assert len(states) == 1
         assert traj.multipliers == ()
         assert traj.decoder_output.shape == (6, 2)
 
@@ -238,10 +238,9 @@ class TestForward:
         G, _ = random_graph(rng, 8)
         cfg = self._config(G, depth=3, variant="nonlocal_post_ln", seed=2)
         X = rng.normal(size=(8, 3))
-        t1 = forward_trajectory(init_model(cfg), cfg, G, X)
-        t2 = forward_trajectory(init_model(cfg), cfg, G, X)
-        for a, b in zip(t1.states, t2.states):
-            assert np.array_equal(a, b)
+        _, s1 = stack_states(init_model(cfg), cfg, G, X)
+        _, s2 = stack_states(init_model(cfg), cfg, G, X)
+        assert _bits(s1) == _bits(s2)
 
     def test_post_ln_zero_weights_idempotent(self):
         rng = np.random.default_rng(17)
@@ -249,21 +248,20 @@ class TestForward:
         cfg = self._config(G, depth=2)
         params = init_model(cfg)
         zeroed = _zero_branches(params)
-        traj = forward_trajectory(zeroed, cfg, G, rng.normal(size=(7, 3)))
-        X0 = traj.states[0]
-        expected = layer_norm(X0, np.ones(8), np.zeros(8))
+        _, states = stack_states(zeroed, cfg, G, rng.normal(size=(7, 3)))
+        expected = layer_norm(states[0], np.ones(8), np.zeros(8))
         # normalization is idempotent up to eps/(2 var) per row
-        assert_allclose(traj.states[1], expected, atol=2e-3)
-        assert_allclose(traj.states[2], expected, atol=2e-3)
+        assert_allclose(states[1], expected, atol=2e-3)
+        assert_allclose(states[2], expected, atol=2e-3)
 
     def test_pre_ln_zero_weights_exact_identity(self):
         rng = np.random.default_rng(18)
         G, _ = random_graph(rng, 7)
         cfg = self._config(G, depth=3, variant="pre_ln")
         zeroed = _zero_branches(init_model(cfg))
-        traj = forward_trajectory(zeroed, cfg, G, rng.normal(size=(7, 3)))
-        for state in traj.states[1:]:
-            assert np.array_equal(state, traj.states[0])
+        _, states = stack_states(zeroed, cfg, G, rng.normal(size=(7, 3)))
+        for state in states[1:]:
+            assert np.array_equal(state, states[0])
 
     def test_gated_variant_records_multipliers(self):
         rng = np.random.default_rng(19)
@@ -290,27 +288,6 @@ class TestForward:
         plain = layer_norm(Y0 + feed_forward(Y0, layer), layer.norm2_gain,
                            layer.norm2_bias)
         assert_allclose(manual, plain, atol=1e-12)
-
-    def test_skip_layer_passthrough(self):
-        rng = np.random.default_rng(20)
-        G, _ = random_graph(rng, 8)
-        cfg = self._config(G, depth=3)
-        params = init_model(cfg)
-        X = rng.normal(size=(8, 3))
-        pruned = forward_trajectory(params, cfg, G, X, skip_layer=2)
-        assert np.array_equal(pruned.states[2], pruned.states[1])
-        assert pruned.multipliers[1] is None
-
-    def test_skip_layer_bounds(self):
-        rng = np.random.default_rng(21)
-        G, _ = random_graph(rng, 5)
-        cfg = self._config(G, depth=3)
-        params = init_model(cfg)
-        X = rng.normal(size=(5, 3))
-        with pytest.raises(ValueError, match="skip_layer"):
-            forward_trajectory(params, cfg, G, X, skip_layer=0)
-        with pytest.raises(ValueError, match="skip_layer"):
-            forward_trajectory(params, cfg, G, X, skip_layer=4)
 
     def test_input_shape_checked(self):
         rng = np.random.default_rng(22)
@@ -344,8 +321,8 @@ class TestForward:
         cfg = ModelConfig(input_dim=3, output_dim=2, depth=2, hidden_dim=8,
                           attention=AttentionKind("san"), seed=1)
         X = np.tile([0.3, -1.2, 0.8], (3, 1))
-        traj = forward_trajectory(init_model(cfg), cfg, p3, X)
-        for state in traj.states:
+        _, states = stack_states(init_model(cfg), cfg, p3, X)
+        for state in states:
             assert_allclose(state - state[0], 0.0, atol=1e-10)
 
 
@@ -373,9 +350,9 @@ class TestPrefixInvariant:
         # the decoder is drawn after the layers, so it is not shared
         assert _bits(shallow.decoder_w) != _bits(deep.decoder_w)
 
-        short = forward_trajectory(shallow, shallow_cfg, G, X)
-        long = forward_trajectory(deep, deep_cfg, G, X)
-        assert _bits(short.states) == _bits(long.states[:4])
+        short, short_states = stack_states(shallow, shallow_cfg, G, X)
+        long, long_states = stack_states(deep, deep_cfg, G, X)
+        assert _bits(short_states) == _bits(long_states[:4])
         assert _bits(short.multipliers) == _bits(long.multipliers[:3])
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
@@ -387,18 +364,19 @@ class TestPrefixInvariant:
                           heads=2, variant=variant,
                           attention=AttentionKind("gat"), seed=2)
         params = init_model(cfg)
-        intact = forward_trajectory(params, cfg, G, X)
+        intact, states = stack_states(params, cfg, G, X)
         branches = dict.fromkeys((5, 1, 3, 2, 4))
-        stream = list(network._stream(params, cfg, G, X, None, branches))
+        stream = list(network._stream(params, cfg, G, X, branches))
         # the stacks beside it leave the stack itself untouched
-        assert _bits(tuple(state for state, _ in stream)) == _bits(intact.states)
+        assert _bits(tuple(state for state, _ in stream)) == _bits(states)
         assert _bits(tuple(m for _, m in stream[1:])) == _bits(intact.multipliers)
+        # the branch for layer k ends where the stack without layer k does
         for layer in range(1, 6):
-            skipped = forward_trajectory(params, cfg, G, X, skip_layer=layer)
-            assert _bits(branches[layer]) == _bits(skipped.states[-1])
+            _, pruned = stack_states(omitted_layer(params, layer), cfg, G, X)
+            assert _bits(branches[layer]) == _bits(pruned[-1])
         for layer in (0, 6):
-            with pytest.raises(ValueError, match="skip_layer"):
-                next(network._stream(params, cfg, G, X, None, {1: None, layer: None}))
+            with pytest.raises(ValueError, match="pruned layer must lie in"):
+                next(network._stream(params, cfg, G, X, {1: None, layer: None}))
 
     def test_nonfinite_error_carries_finite_prefix(self):
         rng = np.random.default_rng(32)
@@ -407,7 +385,7 @@ class TestPrefixInvariant:
                           attention=AttentionKind("san"), seed=1)
         params = init_model(cfg)
         X = rng.normal(size=(6, 3))
-        clean = forward_trajectory(params, cfg, G, X)
+        _, clean = stack_states(params, cfg, G, X)
         layers = list(params.layers)
         layers[2] = dataclasses.replace(
             layers[2], out_weight=layers[2].out_weight * np.inf)
@@ -417,9 +395,9 @@ class TestPrefixInvariant:
             forward_trajectory(broken, cfg, G, X,
                                observe=lambda k, state: seen.append(state))
         assert err.value.layer == 3 and len(seen) == err.value.layer
-        assert _bits(tuple(seen)) == _bits(clean.states[:3])
+        assert _bits(tuple(seen)) == _bits(clean[:3])
 
-    def test_observe_sees_every_state_and_keep_holds_only_the_listed(self):
+    def test_observe_sees_every_state_in_order(self):
         rng = np.random.default_rng(33)
         G, _ = random_graph(rng, 8)
         cfg = ModelConfig(input_dim=3, output_dim=2, depth=5, hidden_dim=8,
@@ -427,17 +405,16 @@ class TestPrefixInvariant:
                           attention=AttentionKind("gat"), seed=3)
         params = init_model(cfg)
         X = rng.normal(size=(8, 3))
-        full = forward_trajectory(params, cfg, G, X)
+        stream = list(network._stream(params, cfg, G, X, {}))
 
         seen = []
-        kept = forward_trajectory(params, cfg, G, X, keep={1, 4},
+        traj = forward_trajectory(params, cfg, G, X,
                                   observe=lambda k, state: seen.append((k, state)))
         assert [k for k, _ in seen] == list(range(6))
-        assert _bits(tuple(state for _, state in seen)) == _bits(full.states)
-        assert [k for k, s in enumerate(kept.states) if s is not None] == [1, 4]
-        assert _bits(kept.states[4]) == _bits(full.states[4])
-        assert _bits(kept.multipliers) == _bits(full.multipliers)
-        assert _bits(kept.decoder_output) == _bits(full.decoder_output)
+        assert _bits(tuple(state for _, state in seen)) == _bits(
+            tuple(state for state, _ in stream))
+        assert _bits(traj.multipliers) == _bits(tuple(m for _, m in stream[1:]))
+        assert _bits(traj.decoder_output) == _bits(network._decode(params, stream[-1][0]))
 
         layers = list(params.layers)
         layers[2] = dataclasses.replace(
@@ -445,11 +422,10 @@ class TestPrefixInvariant:
         broken = dataclasses.replace(params, layers=tuple(layers))
         seen.clear()
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLayerError) as err:
-            forward_trajectory(broken, cfg, G, X, keep={1},
+            forward_trajectory(broken, cfg, G, X,
                                observe=lambda k, state: seen.append((k, state)))
         assert err.value.layer == 3
         assert [k for k, _ in seen] == [0, 1, 2]
-        assert _bits(tuple(state for _, state in seen)) == _bits(full.states[:3])
 
 
 def _bits(value):

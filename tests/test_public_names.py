@@ -35,12 +35,24 @@ def test_every_traced_name_resolves_to_a_callable():
         assert callable(getattr(importlib.import_module(module), attr, None)), span
 
 
-def test_dynamics_keeps_the_laplacian_the_tracer_patches():
-    # dynamics imports laplacian_apply for the tracer only, which counts
-    # the calls made through it
-    import graphenergy.dynamics
+# Module attributes the tracer must find holding a traced function, so the
+# calls made through them are counted (perfbench/tests checks the same
+# sites): holder module -> attribute -> the module that defines it.
+PATCH_SITES = {
+    ("graphenergy.cli", "forward_trajectory"): "graphenergy.network",
+    ("graphenergy.network", "attention_scores"): "graphenergy.attention",
+    ("graphenergy.diagnostics", "derivative_energy"): "graphenergy.graph",
+    ("graphenergy.dynamics", "laplacian_apply"): "graphenergy.graph",
+    ("graphenergy.graph", "laplacian_apply"): "graphenergy.graph",
+}
 
-    assert graphenergy.dynamics.laplacian_apply is graphenergy.laplacian_apply
+
+@pytest.mark.parametrize("holder, attr", sorted(PATCH_SITES),
+                         ids=[f"{m}.{a}" for m, a in sorted(PATCH_SITES)])
+def test_patch_site_holds_the_traced_function(holder, attr):
+    defined = getattr(importlib.import_module(PATCH_SITES[holder, attr]), attr)
+    assert callable(defined) and defined.__module__ == PATCH_SITES[holder, attr]
+    assert getattr(importlib.import_module(holder), attr, None) is defined
 
 
 def test_every_exported_name_resolves():
