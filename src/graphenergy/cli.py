@@ -124,7 +124,6 @@ class SweepSpec:
     output_dim: int = 7
     feature_seed: int = DEFAULT_FEATURE_SEED
     feature_scale: float = 1.0
-    graph_label: str = "graph"
     energy_order: int = 2
     dump_states: bool = False
     write_cosine: bool = True
@@ -214,7 +213,8 @@ def run_sweep(
     X = random_features(
         G.n, spec.input_dim, seed=spec.feature_seed, scale=spec.feature_scale
     )
-    config_hash = _config_hash(_sweep_meta(G, spec))
+    meta = _sweep_meta(G, spec)
+    config_hash = _config_hash(meta)
     units = [(variant, seed) for variant in spec.variants for seed in spec.seeds]
     packed = [(G, X, spec, unit, out_dir, config_hash) for unit in units]
     cells = {}
@@ -248,7 +248,7 @@ def run_sweep(
     )
     result = SweepResult(jobs=jobs, out_dir=out_dir, config_hash=config_hash)
     if out_dir is not None:
-        _write_sweep_summary(result, G, spec)
+        _write_sweep_summary(result, G, meta)
     return result
 
 
@@ -424,14 +424,14 @@ def _failure_record(job: SweepJob) -> dict:
     return {name: getattr(job, name) for name in fields}
 
 
-def _write_sweep_summary(result: SweepResult, G: WeightedGraph, spec: SweepSpec):
+def _write_sweep_summary(result: SweepResult, G: WeightedGraph, meta: dict):
     summary = {
         "graph": {
-            "label": spec.graph_label,
+            "digest": meta["graph"],
             "nodes": G.n,
             "edges": int(G.indices.size // 2),
         },
-        "seeds": list(spec.seeds),
+        "seeds": meta["seeds"],
         "cells": {},
         "failures": [_failure_record(j) for j in result.jobs if not j.ok],
     }
@@ -471,8 +471,7 @@ def _config_hash(meta: dict) -> str:
 
 def _sweep_meta(G: WeightedGraph, spec: SweepSpec) -> dict:
     return {
-        "graph_label": spec.graph_label,
-        **_graph_meta(G),
+        "graph": _graph_digest(G),
         "depths": list(spec.depths),
         "variants": list(spec.variants),
         "seeds": list(spec.seeds),
@@ -480,10 +479,6 @@ def _sweep_meta(G: WeightedGraph, spec: SweepSpec) -> dict:
         "energy_order": spec.energy_order,
         "version": graphenergy.__version__,
     }
-
-
-def _graph_meta(G: WeightedGraph) -> dict:
-    return {"nodes": G.n, "edges": int(G.indices.size // 2)}
 
 
 def _model_meta(settings, attention: AttentionKind) -> dict:
@@ -496,9 +491,22 @@ def _model_meta(settings, attention: AttentionKind) -> dict:
 
 
 def _data_digest(arrays) -> str:
-    """Digest of the shapes and values of the float arrays a command read."""
-    blob = b"".join(repr(a.shape).encode() + a.tobytes() for a in arrays)
-    return hashlib.sha256(blob).hexdigest()[:12]
+    """Digest of the shapes and values of the arrays a command read."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(repr(a.shape).encode())
+        digest.update(np.ascontiguousarray(a))
+    return digest.hexdigest()[:12]
+
+
+def _graph_digest(G: WeightedGraph) -> str:
+    """Digest of the graph's edges, weights and vertex measure."""
+    return _data_digest((
+        G.indptr.astype(np.int64, copy=False),
+        G.indices.astype(np.int64, copy=False),
+        G.weights.astype(np.float64, copy=False),
+        G.measure.astype(np.float64, copy=False),
+    ))
 
 
 def _csv_meta(config_hash: str, seed, note: str = MEASUREMENT_NOTE) -> list[str]:
@@ -574,8 +582,9 @@ def _jsonable(value):
 # ------------------------------------------------------------- argument
 
 
-def _add_graph_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--edges", help="edge-list file; omit to generate")
+def _add_graph_source(parser: argparse.ArgumentParser, edges: bool = True) -> None:
+    if edges:
+        parser.add_argument("--edges", help="edge-list file; omit to generate")
     parser.add_argument(
         "--kind",
         choices=GENERATOR_KINDS,
@@ -628,8 +637,9 @@ def _synthetic_spec_from_args(args) -> SyntheticSpec:
 
 
 def _resolve_graph(args) -> tuple[WeightedGraph, str]:
-    """The graph ``--edges`` names or the generator flags describe. A bad
-    edge list, or a generator out of retries, exits with one line."""
+    """The graph ``--edges`` names or the generator flags describe, and
+    its digest. A bad edge list, or a generator out of retries, exits
+    with one line."""
     try:
         if args.edges:
             G = load_edge_list(args.edges)
@@ -637,13 +647,7 @@ def _resolve_graph(args) -> tuple[WeightedGraph, str]:
             G = generate_graph(_synthetic_spec_from_args(args))
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"graphenergy: {exc}") from None
-    return G, _graph_label(args)
-
-
-def _graph_label(args) -> str:
-    if args.edges:
-        return os.path.basename(args.edges)
-    return args.kind or "sbm-surrogate"
+    return G, _graph_digest(G)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -709,7 +713,6 @@ def cmd_sweep(args) -> int:
             output_dim=args.output_dim,
             feature_seed=args.feature_seed,
             feature_scale=args.feature_scale,
-            graph_label=_graph_label(args),
             energy_order=args.energy_order,
             dump_states=args.dump_states,
             write_cosine=not args.no_cosine,
@@ -743,7 +746,7 @@ def cmd_flow(args) -> int:
         spec = FlowSpec(horizon=args.horizon, dt=args.dt, record_stride=args.stride)
     except ValueError as exc:
         raise SystemExit(f"bad flow arguments: {exc}") from None
-    G, label = _resolve_graph(args)
+    G, graph = _resolve_graph(args)
     X0 = random_features(G.n, args.d, seed=args.feature_seed, scale=args.feature_scale)
     simulate = {
         FLOW_HEAT: simulate_heat,
@@ -766,8 +769,7 @@ def cmd_flow(args) -> int:
     )
 
     meta = {
-        "graph": label,
-        **_graph_meta(G),
+        "graph": graph,
         "flow": args.flow,
         "horizon": args.horizon,
         "dt": args.dt,
@@ -841,7 +843,7 @@ def cmd_prune(args) -> int:
                 raise ValueError(f"layer {layer} lies outside [1, {args.depth}]")
     except ValueError as exc:
         raise SystemExit(f"bad model arguments: {exc}") from None
-    G, label = _resolve_graph(args)
+    G, graph = _resolve_graph(args)
     X = random_features(
         G.n, args.input_dim, seed=args.feature_seed, scale=args.feature_scale
     )
@@ -852,8 +854,7 @@ def cmd_prune(args) -> int:
             rows.append((report.layer, seed, report.deviation, report.mean_cosine))
 
     meta = {
-        "graph": label,
-        **_graph_meta(G),
+        "graph": graph,
         "variant": args.variant,
         "depth": args.depth,
         "layers": list(args.layers),
@@ -901,7 +902,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    G, label = _resolve_graph(args)
+    G, graph = _resolve_graph(args)
     try:
         features = load_features(args.features, G.n) if args.features else None
     except ValueError as exc:
@@ -911,7 +912,7 @@ def cmd_stats(args) -> int:
     if stats.feature_dim is not None:
         parts.append(f"features {stats.feature_dim}")
     parts.append(f"components {stats.components}")
-    print(f"{label}: " + ", ".join(parts))
+    print(f"{graph}: " + ", ".join(parts))
     return 0
 
 
@@ -931,11 +932,9 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"graphenergy: {args.series}: {exc}") from None
     payload = asdict(fit)
-    config_hash = _config_hash({
-        "series": os.path.basename(args.series),
-        "data": _data_digest((indices, values)),
-        "window": args.window,
-    })
+    config_hash = _config_hash(
+        {"data": _data_digest((indices, values)), "window": args.window}
+    )
     if args.out:
         _write_json(args.out, {"fit": payload}, config_hash, None)
     print(
@@ -1020,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("gen", help="write a synthetic graph to an edge list")
-    _add_graph_source(p)
+    _add_graph_source(p, edges=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -109,6 +109,13 @@ class TestGen:
         with pytest.raises(SystemExit):
             main(["gen", "--kind", "sbm", "--out", str(tmp_path / "x.txt")])
 
+    def test_refuses_an_edge_list(self, p3_file, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        with pytest.raises(SystemExit):
+            main(["gen", "--edges", p3_file, "--out", str(out)])
+        assert "unrecognized arguments: --edges" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
     def test_p3_counts(self, p3_file, capsys):
@@ -851,31 +858,62 @@ class TestPrune:
             assert not (tmp_path / "prune").exists()
 
 
-PRUNE_ARGS = [
-    "prune", "--kind", "ring", "--size", "10", "--depth", "4", "--layers", "2",
-    "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
-]
-FLOW_ARGS = [
-    "flow", "--kind", "erdos-renyi", "--size", "30", "--edge-prob", "0.3",
-    "--flow", "heat", "--horizon", "1", "--d", "2",
-]
+SMALL_MODEL = ["--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3"]
+# The commands that hash a graph, without their graph flags.
+GRAPH_RUNS = {
+    "flow": ["flow", "--flow", "heat", "--horizon", "1", "--d", "2"],
+    "prune": ["prune", "--depth", "4", "--layers", "2", *SMALL_MODEL],
+    "sweep": ["sweep", "--depths", "2", "--seeds", "0", *SMALL_MODEL],
+}
+# Graph seeds 6 and 7 draw two different graphs with the same 126 edges.
+ER_GRAPH = ["--kind", "erdos-renyi", "--size", "30", "--edge-prob", "0.3"]
+PRUNE_ARGS = [*GRAPH_RUNS["prune"], "--kind", "ring", "--size", "10"]
+FLOW_ARGS = [*GRAPH_RUNS["flow"], *ER_GRAPH]
 
 
 class TestConfigHash:
-    """Two runs whose numbers differ never share a config hash."""
+    """Two runs whose numbers differ never share a config hash, and the
+    same graph hashes alike however it was read."""
 
     def report_hash(self, out, argv):
         assert main(argv + ["--out", str(out)]) == 0
-        return json.loads((out / "report.json").read_text())["config_hash"]
+        report = "summary.json" if argv[0] == "sweep" else "report.json"
+        return json.loads((out / report).read_text())["config_hash"]
 
     @pytest.mark.parametrize("argv, a, b", [
         (PRUNE_ARGS, ["--attention", "san"], ["--attention", "gat"]),
         (FLOW_ARGS, ["--stride", "1"], ["--stride", "3"]),
-        (FLOW_ARGS, ["--graph-seed", "0"], ["--graph-seed", "1"]),
-    ], ids=["prune-attention", "flow-stride", "flow-graph-seed"])
+        (FLOW_ARGS, ["--graph-seed", "6"], ["--graph-seed", "7"]),
+        ([*GRAPH_RUNS["prune"], *ER_GRAPH], ["--graph-seed", "6"],
+         ["--graph-seed", "7"]),
+        ([*GRAPH_RUNS["sweep"], *ER_GRAPH], ["--graph-seed", "6"],
+         ["--graph-seed", "7"]),
+    ], ids=["prune-attention", "flow-stride", "flow-graph-seed", "prune-graph-seed",
+            "sweep-graph-seed"])
     def test_differing_input_changes_hash(self, tmp_path, argv, a, b):
         assert self.report_hash(tmp_path / "a", argv + a) != self.report_hash(
             tmp_path / "b", argv + b
+        )
+
+    @pytest.mark.parametrize("command", sorted(GRAPH_RUNS))
+    def test_same_named_edge_files_hash_apart(self, tmp_path, command):
+        # a path and a star: same file name, same node and edge counts
+        hashes = []
+        for name, edges in (("a", "0 1\n1 2\n"), ("b", "0 1\n0 2\n")):
+            (tmp_path / name).mkdir()
+            graph = tmp_path / name / "g.txt"
+            graph.write_text(edges)
+            argv = [*GRAPH_RUNS[command], "--edges", str(graph)]
+            hashes.append(self.report_hash(tmp_path / name / "out", argv))
+        assert hashes[0] != hashes[1]
+
+    def test_generated_graph_hashes_as_its_edge_file(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        assert main(["gen", *ER_GRAPH, "--graph-seed", "6", "--out", str(graph)]) == 0
+        assert self.report_hash(
+            tmp_path / "a", [*FLOW_ARGS, "--graph-seed", "6"]
+        ) == self.report_hash(
+            tmp_path / "b", [*GRAPH_RUNS["flow"], "--edges", str(graph)]
         )
 
     def test_fit_hashes_the_series_data(self, tmp_path):
@@ -888,6 +926,16 @@ class TestConfigHash:
             assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
             hashes.append(json.loads(out.read_text())["config_hash"])
         assert hashes[0] != hashes[1]
+
+    def test_fit_ignores_the_series_file_name(self, tmp_path):
+        hashes = []
+        for name in ("a.csv", "b.csv"):
+            series = tmp_path / name
+            series.write_text("".join(f"{k},{np.exp(-0.5 * k)}\n" for k in range(10)))
+            out = tmp_path / f"{name}.json"
+            assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
+            hashes.append(json.loads(out.read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
 
     def test_similarity_hashes_the_states(self, tmp_path):
         X = np.arange(6.0).reshape(3, 2) + 1.0

@@ -2,20 +2,24 @@
 
 The benchmark's tracer (``perfbench/tracing.py``) wraps each function in
 its ``TRACED`` table with ``getattr`` and no default, so deleting or
-renaming one breaks a traced benchmark run. The benchmark's own tests sit
-outside this suite's test paths, so these checks guard the names here.
+renaming one breaks a traced benchmark run. The benchmark's tests also
+import ``_resolve_graph`` and ``build_parser`` from ``graphenergy.cli``.
+The benchmark's own tests sit outside this suite's test paths, so these checks guard the names here.
 The tracer's table is read from its source; the module is not run.
 """
 
 import ast
 import importlib
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 import graphenergy
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def traced_table() -> dict:
@@ -58,3 +62,19 @@ def test_patch_site_holds_the_traced_function(holder, attr):
 def test_every_exported_name_resolves():
     missing = [name for name in graphenergy.__all__ if not hasattr(graphenergy, name)]
     assert missing == []
+
+
+@pytest.mark.skipif(not PERFBENCH.exists(), reason="no benchmark in this checkout")
+def test_cli_names_the_benchmark_imports(monkeypatch):
+    # perfbench/tests builds the flows graph with these and unpacks a pair.
+    from graphenergy.cli import _resolve_graph, build_parser
+    from graphenergy.graph import WeightedGraph
+
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    args = build_parser().parse_args(["flow", *workloads.FLOW_GRAPH, "--flow", "heat",
+                                      "--horizon", "1", "--out", "unused"])
+    G, digest = _resolve_graph(args)
+    assert isinstance(G, WeightedGraph) and isinstance(digest, str)

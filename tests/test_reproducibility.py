@@ -47,12 +47,12 @@ COMMANDS = {
 DIGESTS = {
     "numpy 2.4.6 | scipy 1.17.1 | OpenBLAS 0.3.31.188.0  USE64BITINT "
     "DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
-        "sweep": "05d7d5c9f9b273d7cf121221a7dc403119cbe6f5d6024fc29c518369be1a473c",
-        "prune": "15af0618a20b45f8a537eade5636f742f7682bc6468c00a9d8e74b838d7f6c5c",
-        "flow-heat": "99cc16661481955aa122ed9bdff3dfabf6d7a5fe5dec6c74acf35c5c0e63d1d5",
+        "sweep": "9c2ff319fad22c035a3adfab443537b112503bf15b5a90aad0dfb0f088f47749",
+        "prune": "3d4190bf60442543f6328ef1694cf481b09839288c8abcc16b4e25d62c0d88f1",
+        "flow-heat": "e489a6b95255e7430e66c6fbd0565527c725e88758bfe1417fd3ddd1bfc0b8d6",
         "flow-nonlocal":
-            "888dd346b00bd248ba0c9f55abf85f21f5a63326a3c7706b5e1fa2861a843bf9",
-        "flow-preln": "c28444ef0d6ce5a4979d79f00c309cc1dd9179a12495ce39a4deae6aa40b7388",
+            "999a014c0d0659b4e7650537c3b9651b665c647b7f9722d8ab833540d5595f46",
+        "flow-preln": "5b03d481f532f493b95ecd9b7a28fda83acd5acfa07eec92ea08f18e8f2aad7e",
     },
 }
 
