@@ -232,7 +232,7 @@ class CosineGram:
     at once. It never exceeds the subsamples' union, and it stays within
     the largest subsample when the subsamples nest: each one, cut at the
     last state of a shorter one, lies inside that shorter one, as the
-    sweep's subsamples of its default depths do.
+    sweep's subsamples of any depths do.
     """
 
     def __init__(self, subsamples: Iterable[Sequence[int]]):

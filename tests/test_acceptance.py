@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from graphenergy.attention import AttentionKind
-from graphenergy.cli import SweepSpec, run_sweep, surrogate_spec
+from graphenergy.cli import surrogate_spec
 from graphenergy.diagnostics import (
     EnergySeries,
     fit_decay,
@@ -32,6 +32,7 @@ from graphenergy.graph import (
 )
 from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
 from graphenergy.network import ModelConfig, init_model
+from graphenergy.sweep import SweepSpec, run_sweep
 
 from conftest import dense_spectrum, relative_rate
 

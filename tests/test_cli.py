@@ -10,8 +10,9 @@ import pytest
 
 import graphenergy.cli as cli
 import graphenergy.network as network
+import graphenergy.sweep as sweep
 from graphenergy.attention import AttentionKind
-from graphenergy.cli import SweepSpec, main, run_sweep, surrogate_spec
+from graphenergy.cli import main, surrogate_spec
 from graphenergy.diagnostics import (
     energy_series,
     fit_decay,
@@ -28,6 +29,7 @@ from graphenergy.ingest import (
     write_matrix,
 )
 from graphenergy.network import ModelConfig, init_model
+from graphenergy.sweep import SweepSpec, run_sweep
 
 from conftest import (
     STATE_TEMPORARIES,
@@ -192,14 +194,14 @@ class TestSweep:
         assert not (tmp_path / "run").exists()
 
     def test_job_failure_sets_exit_code(self, tmp_path, monkeypatch):
-        real = cli.forward_trajectory
+        real = sweep.forward_trajectory
 
         def boom(params, config, G, X, **kwargs):
             if config.variant == "pre_ln" and config.seed == 1:
                 raise RuntimeError("synthetic failure")
             return real(params, config, G, X, **kwargs)
 
-        monkeypatch.setattr(cli, "forward_trajectory", boom)
+        monkeypatch.setattr(sweep, "forward_trajectory", boom)
         rc = main(self.sweep_args(tmp_path, "run"))
         assert rc == 1
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
@@ -322,7 +324,7 @@ class TestSweepPrefixes:
         self, graph, tmp_path, monkeypatch, capsys, dump_states
     ):
         spec = replace(self.SPEC, dump_states=dump_states)
-        real = cli.init_model
+        real = sweep.init_model
 
         def poisoned(config):
             params = real(config)
@@ -331,7 +333,7 @@ class TestSweepPrefixes:
             return replace(params, layers=tuple(layers))
 
         clean = run_sweep(graph, spec, out_dir=str(tmp_path / "clean"))
-        monkeypatch.setattr(cli, "init_model", poisoned)
+        monkeypatch.setattr(sweep, "init_model", poisoned)
         with np.errstate(invalid="ignore", over="ignore"):
             result = run_sweep(graph, spec, out_dir=str(tmp_path / "bad"))
         for job in result.jobs:
@@ -391,7 +393,7 @@ class TestSweepPrefixes:
         self, graph, tmp_path, monkeypatch, bad
     ):
         spec = replace(self.SPEC, variants=("post_ln",), seeds=(0,), dump_states=True)
-        real_energy, real_step = cli.derivative_energy, network.layer_step
+        real_energy, real_step = sweep.derivative_energy, network.layer_step
         calls, steps = [], []
 
         def energy(G, X, m):
@@ -404,7 +406,7 @@ class TestSweepPrefixes:
             steps.append(len(steps) + 1)
             return real_step(*args)
 
-        monkeypatch.setattr(cli, "derivative_energy", energy)
+        monkeypatch.setattr(sweep, "derivative_energy", energy)
         monkeypatch.setattr(network, "layer_step", step)
         result = run_sweep(graph, spec, out_dir=str(tmp_path))
         assert [(j.depth, j.ok, j.error, j.layer) for j in result.jobs] == [
@@ -416,7 +418,7 @@ class TestSweepPrefixes:
 
     def test_at_most_two_states_in_flight(self, graph, monkeypatch, capsys):
         spec = replace(self.SPEC, variants=("post_ln",), seeds=(0,))
-        real_energy, real_step = cli.derivative_energy, network.layer_step
+        real_energy, real_step = sweep.derivative_energy, network.layer_step
         measured, in_flight = [], []
 
         def slow(G, X, m):
@@ -431,7 +433,7 @@ class TestSweepPrefixes:
             return real_step(*args)
 
         clean = run_sweep(graph, spec)
-        monkeypatch.setattr(cli, "derivative_energy", slow)
+        monkeypatch.setattr(sweep, "derivative_energy", slow)
         monkeypatch.setattr(network, "layer_step", step)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -472,7 +474,7 @@ class TestSweepCosine:
             depth=max(spec.depths), hidden_dim=spec.hidden_dim, seed=0,
         )
         _, states = stack_states(params or init_model(cfg), cfg, G, X)
-        keep = cli._subsample(depth + 1, cli.COSINE_LAYER_CAP)
+        keep = sweep._subsample(depth + 1, sweep.COSINE_LAYER_CAP)
         matrix = unit_row_gram([unit_rows(states[k]) for k in keep])
         return [[repr(float(x)) for x in row] for row in matrix]
 
@@ -501,20 +503,21 @@ class TestSweepCosine:
                             seed=self.SPEC.feature_seed)
         if zero_row:  # the encoder maps a zero input row to a zero row
             X[3] = 0.0
-            monkeypatch.setattr(cli, "random_features", lambda *a, **k: X.copy())
+            monkeypatch.setattr(sweep, "random_features", lambda *a, **k: X.copy())
         result = run_sweep(graph, self.SPEC, out_dir=str(tmp_path))
         assert result.all_ok
         for depth in self.SPEC.depths:
             rows = self.written_rows(tmp_path, depth)
             assert rows == self.expected_rows(graph, X, None, depth)
-            assert len(rows) == min(depth + 1, cli.COSINE_LAYER_CAP)
+            # every layer to 2, every second to 20, every fourth to 40
+            assert len(rows) == {2: 3, 20: 11, 40: 11}[depth]
             assert (rows[0][0] == "nan") == zero_row  # X^0 is in every subsample
             assert rows[1][1] == "1.0"
 
     def test_failed_deepest_depth_keeps_shallow_matrices(
         self, graph, tmp_path, monkeypatch
     ):
-        real = cli.init_model
+        real = sweep.init_model
         poisoned = {}
 
         def poison(config):
@@ -524,7 +527,7 @@ class TestSweepCosine:
             poisoned["params"] = replace(params, layers=tuple(layers))
             return poisoned["params"]
 
-        monkeypatch.setattr(cli, "init_model", poison)
+        monkeypatch.setattr(sweep, "init_model", poison)
         with np.errstate(invalid="ignore", over="ignore"):
             result = run_sweep(graph, self.SPEC, out_dir=str(tmp_path))
         assert [(j.depth, j.ok, j.layer) for j in result.jobs] == [
@@ -636,8 +639,8 @@ class TestSweepMemory:
         # next layer's, so the peak does not depend on thread timing.
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Inline)
         shallow = self.peak(ring, tmp_path / "shallow", (2, 32))
-        deep = self.peak(ring, tmp_path / "deep", cli.DEFAULT_DEPTHS)
-        assert max(cli.DEFAULT_DEPTHS) == 256
+        deep = self.peak(ring, tmp_path / "deep", sweep.DEFAULT_DEPTHS)
+        assert max(sweep.DEFAULT_DEPTHS) == 256
         assert deep - shallow < self.N * self.HIDDEN * 8  # one state
 
 
@@ -761,7 +764,7 @@ class TestFlow:
         ]
         notes = [(out / name).read_text().splitlines()[1]
                  for name in ("energy.csv", "trajectory.csv")]
-        assert notes == [f"# {cli.MEASUREMENT_NOTE}", f"# {cli.FLOW_GRAPH_NOTE}"]
+        assert notes == [f"# {sweep.MEASUREMENT_NOTE}", f"# {cli.FLOW_GRAPH_NOTE}"]
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -949,6 +952,71 @@ class TestConfigHash:
             assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
             hashes.append(out.read_text().split()[1])  # "config-hash=..."
         assert hashes[0] != hashes[1]
+
+
+
+class TestListEntriesAndSeeds:
+    """A repeated list entry or a negative seed exits before any graph is
+    built, with one line that names the flag or the entry."""
+
+    RUNS = {
+        command: [*argv, "--kind", "ring", "--size", "10"]
+        for command, argv in [*GRAPH_RUNS.items(), ("gen", ["gen"]), ("stats", ["stats"])]
+    }
+
+    def refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
+        monkeypatch.setattr(cli, "generate_graph", no_graph)
+        out = [] if argv[0] == "stats" else ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + out)
+        assert not (tmp_path / "out").exists()
+        return exit_info.value.code, capsys.readouterr().err.splitlines()[-1:]
+
+    @pytest.mark.parametrize("command, flag, value, entry", [
+        ("sweep", "--depths", "8,8", 8),
+        ("sweep", "--seeds", "0,1,0", 0),
+        ("prune", "--layers", "2,2", 2),
+        ("prune", "--seeds", "0,0", 0),
+    ])
+    def test_repeated_list_entry(
+        self, tmp_path, monkeypatch, capsys, command, flag, value, entry
+    ):
+        code, err = self.refused(tmp_path, monkeypatch, capsys,
+                                 self.RUNS[command] + [flag, value])
+        assert code == 2 and err == [
+            f"graphenergy {command}: error: argument {flag}: "
+            f"repeated entry {entry} in '{value}'"
+        ]
+
+    def test_repeated_variant(self, tmp_path, monkeypatch, capsys):
+        argv = self.RUNS["sweep"] + ["--variants", "post_ln,pre_ln,post_ln"]
+        code, _ = self.refused(tmp_path, monkeypatch, capsys, argv)
+        assert code == "bad sweep arguments: repeated variant 'post_ln'"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--seeds"), ("sweep", "--feature-seed"), ("sweep", "--graph-seed"),
+        ("flow", "--feature-seed"), ("flow", "--graph-seed"),
+        ("prune", "--seeds"), ("prune", "--feature-seed"), ("prune", "--graph-seed"),
+        ("gen", "--graph-seed"), ("stats", "--graph-seed"),
+    ])
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys, command, flag):
+        code, err = self.refused(tmp_path, monkeypatch, capsys,
+                                 self.RUNS[command] + [flag, "-1"])
+        assert code == 2 and err == [
+            f"graphenergy {command}: error: argument {flag}: must be nonnegative, got -1"
+        ]
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(depths=(2, 4, 2)), "repeated depth 2"),
+        (dict(variants=("pre_ln", "pre_ln")), "repeated variant 'pre_ln'"),
+        (dict(seeds=(3, 3)), "repeated seed 3"),
+        (dict(seeds=(0, -1)), "seeds and the feature seed must be nonnegative"),
+        (dict(feature_seed=-1), "seeds and the feature seed must be nonnegative"),
+    ])
+    def test_sweep_spec_refuses(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepSpec(**fields)
 
 
 class TestFit:

@@ -18,7 +18,7 @@ from graphenergy.diagnostics import (
 )
 from graphenergy.graph import build_weighted_graph
 from graphenergy.ingest import SyntheticSpec, generate_graph, random_features
-from graphenergy import cli, network
+from graphenergy import network, sweep
 from graphenergy.attention import AttentionKind
 from graphenergy.network import (
     MODEL_VARIANTS,
@@ -240,10 +240,21 @@ class TestCosineGram:
     def test_peak_of_nested_subsamples_is_the_largest(self):
         # the sweep's default depths nest: multiples of 16 up to 256, of 8
         # up to 128, of 4 up to 64, ... so at most 17 forms are held
-        subsamples = [cli._subsample(depth + 1, cli.COSINE_LAYER_CAP)
-                      for depth in cli.DEFAULT_DEPTHS]
+        subsamples = [sweep._subsample(depth + 1, sweep.COSINE_LAYER_CAP)
+                      for depth in sweep.DEFAULT_DEPTHS]
         gram = self.stream(subsamples, [np.ones((2, 2))] * 257)
         assert gram.peak == max(len(layers) for layers in subsamples) == 17
+        assert not gram._forms
+
+    @pytest.mark.parametrize("depths", [(100, 256), (194, 205, 213, 226, 252)])
+    def test_subsamples_of_any_depths_nest(self, depths):
+        # a depth that is not 16 times a power of two still takes its
+        # layers from multiples of a power of two, so the forms held stay
+        # within the cap
+        subsamples = [sweep._subsample(depth + 1, sweep.COSINE_LAYER_CAP)
+                      for depth in depths]
+        gram = self.stream(subsamples, [np.ones((2, 2))] * (max(depths) + 1))
+        assert gram.peak <= sweep.COSINE_LAYER_CAP
         assert not gram._forms
 
     @settings(max_examples=50)

@@ -45,6 +45,7 @@ def test_every_traced_name_resolves_to_a_callable():
 PATCH_SITES = {
     ("graphenergy.cli", "forward_trajectory"): "graphenergy.network",
     ("graphenergy.network", "attention_scores"): "graphenergy.attention",
+    ("graphenergy.sweep", "forward_trajectory"): "graphenergy.network",
     ("graphenergy.diagnostics", "derivative_energy"): "graphenergy.graph",
     ("graphenergy.dynamics", "laplacian_apply"): "graphenergy.graph",
     ("graphenergy.graph", "laplacian_apply"): "graphenergy.graph",
