@@ -1,5 +1,6 @@
-"""The byte contract: three small commands write artifact trees whose
-digests are pinned here.
+"""The byte contract: small commands write artifact trees whose digests
+are pinned here: a sweep under each score rule, a prune scan and the
+three flows.
 
 Each command runs through ``cli.main`` into a fresh directory, and each
 tree is hashed over its relative paths and file bytes. The digests
@@ -30,6 +31,15 @@ COMMANDS = {
         "--depths", "2,16", "--seeds", "0,1", "--attention", "san",
         "--dump-states",
     ],
+    **{
+        f"sweep-{rule}": [
+            "sweep", "--kind", "sbm", "--block-sizes", "40,40,40",
+            "--block-probs", "0.2,0.02,0.02;0.02,0.2,0.02;0.02,0.02,0.2",
+            "--depths", "2,16", "--seeds", "0,1", "--attention", rule,
+            "--heads", "2", "--dump-states",
+        ]
+        for rule in ("gat", "gcn")
+    },
     "prune": [
         "prune", "--kind", "ring", "--size", "60", "--variant",
         "nonlocal_post_ln", "--depth", "16",
@@ -48,6 +58,10 @@ DIGESTS = {
     "numpy 2.4.6 | scipy 1.17.1 | OpenBLAS 0.3.31.188.0  USE64BITINT "
     "DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
         "sweep": "9c2ff319fad22c035a3adfab443537b112503bf15b5a90aad0dfb0f088f47749",
+        "sweep-gat":
+            "9d343fe513e93885fbe85a14dcd66770f80eb9342cbcbd112e586737031710db",
+        "sweep-gcn":
+            "86a5e57ca16b3ebf6f7bb6ffd1f8589aac149ecc35132220a447bceaa24aa861",
         "prune": "3d4190bf60442543f6328ef1694cf481b09839288c8abcc16b4e25d62c0d88f1",
         "flow-heat": "e489a6b95255e7430e66c6fbd0565527c725e88758bfe1417fd3ddd1bfc0b8d6",
         "flow-nonlocal":
