@@ -1,7 +1,7 @@
 """Attention scores on graph edges and the aggregation they induce.
 
-Scores live on the directed edges of a fixed topology plus its diagonal.
-Three score rules are supported:
+Scores live on the undirected edges of a fixed topology plus its
+diagonal, one score per edge. Three score rules are supported:
 
 * uniform: every score is 1, which recovers plain neighborhood averaging
   after the softmax;
@@ -13,8 +13,8 @@ Every rule is symmetrized by averaging its two orientations, and each
 undirected edge is scored once: the additive rule averages its two
 rectified orientations, and the dot-product average is the symmetric
 bilinear form ``<X(i), X(j) S>`` with
-``S = (K Q^T + Q K^T) / (2 sqrt(d_head))``. The value is written to both
-stored directions.
+``S = (K Q^T + Q K^T) / (2 sqrt(d_head))``. Scores given per direction
+enter through :func:`symmetrize_scores`.
 
 Symmetric scores ``e`` induce a weighted graph with ``w_ij = exp(e_ij)``
 and ``mu_i = exp(e_ii) + sum_l exp(e_il)``, whose aggregation operator is
@@ -70,10 +70,10 @@ class AttentionParams:
 
 @dataclass(frozen=True, eq=False)
 class EdgeScores:
-    """Scores for every stored directed edge of ``graph`` plus the diagonal.
+    """One score per undirected edge of ``graph``, plus the diagonal.
 
-    ``values`` is aligned with ``graph.indices``, so the graph's cached
-    edge sources and reverse-edge ids index it directly.
+    ``values[k]`` scores edge k of ``graph.edge_ends`` and stands for
+    both of its directions.
     """
 
     graph: WeightedGraph
@@ -81,7 +81,7 @@ class EdgeScores:
     diagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != self.graph.indices.shape:
+        if self.values.shape != self.graph.edge_ends[0].shape:
             raise ValueError("edge score array does not match the edge list")
         if self.diagonal.shape != (self.graph.n,):
             raise ValueError("diagonal score array does not match n")
@@ -94,14 +94,14 @@ def attention_scores(
     X: np.ndarray,
 ) -> EdgeScores:
     """Evaluate the symmetrized score rule once per undirected edge and on
-    the diagonal; both directions of an edge carry the same value."""
+    the diagonal."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != G.n:
         raise ValueError(f"feature matrix of shape {X.shape} does not match n={G.n}")
-    if kind.variant == VARIANT_UNIFORM:
-        return EdgeScores(graph=G, values=np.ones(G.indices.size), diagonal=np.ones(G.n))
-
     i, j = G.edge_ends
+    if kind.variant == VARIANT_UNIFORM:
+        return EdgeScores(graph=G, values=np.ones(i.size), diagonal=np.ones(G.n))
+
     if kind.variant == VARIANT_ADDITIVE:
         if params.weight is None or params.attn_vector is None:
             raise ValueError("additive scores need 'weight' and 'attn_vector'")
@@ -135,33 +135,31 @@ def attention_scores(
             np.einsum("ed,ed->e", X[i[lo:hi]], XS[j[lo:hi]], out=edge[lo:hi])
         diag = np.einsum("nd,nd->n", X, XS)
 
-    return EdgeScores(graph=G, values=edge[G.undirected_edge_ids], diagonal=diag)
+    return EdgeScores(graph=G, values=edge, diagonal=diag)
 
 
-def symmetrize_scores(scores: EdgeScores) -> EdgeScores:
-    """Average each off-diagonal score with its reverse. Idempotent.
-
-    :func:`attention_scores` already returns symmetric scores; this is for
-    hand-built ones.
-    """
-    rev = scores.graph.reverse_edge_ids
-    values = 0.5 * (scores.values + scores.values[rev])
-    return EdgeScores(graph=scores.graph, values=values, diagonal=scores.diagonal)
+def symmetrize_scores(
+    graph: WeightedGraph, values: np.ndarray, diagonal: np.ndarray
+) -> EdgeScores:
+    """Scores from per-direction ``values``, aligned with ``graph.indices``:
+    each undirected edge scores the average of its two directions."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != graph.indices.shape:
+        raise ValueError("per-direction score array does not match the edge list")
+    average = 0.5 * (values + values[graph.reverse_edge_ids])
+    upper = average[graph.indices > graph.edge_sources]
+    return EdgeScores(graph=graph, values=upper, diagonal=diagonal)
 
 
 def attention_weighted_graph(scores: EdgeScores) -> sparse.csr_matrix:
-    """Turn symmetric scores into the softmax aggregation operator ``P``.
+    """Turn scores into the softmax aggregation operator ``P``.
 
-    Rejects asymmetric scores. Row-max shifted exponentials keep every
-    entry finite regardless of score magnitude. ``P`` is laid out on
-    ``scores.graph.closed_neighborhood`` and shares its read-only index
-    arrays; apply as ``P @ X``.
+    Row-max shifted exponentials keep every entry finite regardless of
+    score magnitude. ``P`` is laid out on ``scores.graph.closed_neighborhood``
+    and shares its read-only index arrays; apply as ``P @ X``.
     """
     G = scores.graph
-    values, diagonal = scores.values, scores.diagonal
-    scale = max(1.0, float(np.abs(values).max()) if values.size else 1.0)
-    if values.size and np.abs(values - values[G.reverse_edge_ids]).max() > 1e-12 * scale:
-        raise ValueError("scores must be symmetric; call symmetrize_scores first")
+    values, diagonal = scores.values[G.undirected_edge_ids], scores.diagonal
 
     src = G.edge_sources
     row_max = diagonal.copy()

@@ -36,6 +36,7 @@ from graphenergy.dynamics import (
     FLOW_HEAT,
     FLOW_KINDS,
     FLOW_NORMALIZED,
+    FlowInstabilityError,
     FlowSpec,
     simulate_heat,
     simulate_nonlocal,
@@ -62,6 +63,7 @@ from graphenergy.ingest import (
 from graphenergy.network import (
     MODEL_VARIANTS,
     ModelConfig,
+    NonFiniteLayerError,
     forward_trajectory,  # noqa: F401  (the benchmark's tracer tests patch it here)
     init_model,
 )
@@ -314,7 +316,10 @@ def cmd_flow(args) -> int:
     if canonical is not G or args.energy_order != 1:
         def observe(t, X):
             energies.append(derivative_energy(canonical, X, args.energy_order))
-    trajectory = simulate(G, X0, spec, observe=observe)
+    try:
+        trajectory = simulate(G, X0, spec, observe=observe)
+    except (FlowInstabilityError, ValueError) as exc:
+        raise SystemExit(f"graphenergy: {exc}") from None
     series = EnergySeries(
         indices=trajectory.times,
         values=trajectory.dirichlet if observe is None else np.array(energies),
@@ -402,7 +407,11 @@ def cmd_prune(args) -> int:
     rows = []
     for seed in args.seeds:
         cfg = replace(base, seed=seed)
-        for report in prune_scan(init_model(cfg), cfg, G, X, args.layers):
+        try:
+            reports = prune_scan(init_model(cfg), cfg, G, X, args.layers)
+        except (NonFiniteLayerError, ValueError) as exc:
+            raise SystemExit(f"graphenergy: seed {seed}: {exc}") from None
+        for report in reports:
             rows.append((report.layer, seed, report.deviation, report.mean_cosine))
 
     meta = {

@@ -80,10 +80,9 @@ class FlowSpec:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name, value in (("horizon", self.horizon), ("dt", self.dt)):
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 

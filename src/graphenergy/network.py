@@ -1,7 +1,8 @@
 """Attention message-passing stacks with three norm placements.
 
 One hidden layer is message passing plus a feed-forward block, wired in
-one of three ways (``Norm`` is per-row layer normalization):
+one of three ways (``Norm`` centres each row and scales it to unit
+variance, with ``LAYER_NORM_EPS`` added to the variance and no affine):
 
 * ``post_ln``:  ``Y = Norm(X + MP(X))``, ``X' = Norm(Y + FFN(Y))``
 * ``pre_ln``:   ``Y = X + MP(Norm(X))``, ``X' = Y + FFN(Norm(Y))``
@@ -25,10 +26,11 @@ alone: the observer has already seen the finite prefix. Pruned stacks,
 each without one layer, can step beside it, so a pruning scan
 (``diagnostics.prune_scan``) reads every layer once and drops it.
 
-There is no training here. Parameters come from one seeded generator
-so runs are reproducible bitwise; each layer's are drawn when the stream
-reaches it, so neither the states nor the parameters a pass holds grow
-with depth.
+There is no training here, so the model holds weight matrices only;
+biases and norm affines would stay zero and one. Parameters come from
+one seeded generator so runs are reproducible bitwise; each layer's are
+drawn when the stream reaches it, so neither the states nor the
+parameters a pass holds grow with depth.
 """
 
 from __future__ import annotations
@@ -113,13 +115,7 @@ class LayerParams:
     values: tuple[np.ndarray, ...]
     out_weight: np.ndarray
     ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
     ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
-    norm1_gain: np.ndarray
-    norm1_bias: np.ndarray
-    norm2_gain: np.ndarray
-    norm2_bias: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,12 +126,9 @@ class ModelParams:
     without layer k: the stack ``prune_scan`` steps beside the intact one."""
 
     encoder_w1: np.ndarray
-    encoder_b1: np.ndarray
     encoder_w2: np.ndarray
-    encoder_b2: np.ndarray
     layers: Sequence[LayerParams]
     decoder_w: np.ndarray
-    decoder_b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +154,11 @@ def init_model(config: ModelConfig) -> ModelParams:
     """Draw the parameters from one seeded PCG64 stream: the encoder, then
     ``config.depth`` layers, then the decoder.
 
-    Weight matrices are variance-scaled uniform, biases zero, norm gains
-    one. The draw order is fixed, so equal seeds give bitwise-equal
-    parameters, and a depth-d stack's layers are the first d layers of
-    any deeper stack with the same seed (its decoder is not); sweeps rely
-    on this to take shallow depths as prefixes of the deepest run.
+    Weight matrices are variance-scaled uniform. The draw order is fixed,
+    so equal seeds give bitwise-equal parameters, and a depth-d stack's
+    layers are the first d layers of any deeper stack with the same seed
+    (its decoder is not); sweeps rely on this to take shallow depths as
+    prefixes of the deepest run.
 
     The encoder and decoder are drawn here. The layers are drawn when
     they are read (see :class:`DrawnLayers`), so a forward pass holds one
@@ -180,13 +173,7 @@ def init_model(config: ModelConfig) -> ModelParams:
     rng.bit_generator.advance(config.depth * layers.draws_per_layer)
     dec_w = glorot_uniform(rng, d, config.output_dim, (d, config.output_dim))
     return ModelParams(
-        encoder_w1=enc_w1,
-        encoder_b1=np.zeros(d),
-        encoder_w2=enc_w2,
-        encoder_b2=np.zeros(d),
-        layers=layers,
-        decoder_w=dec_w,
-        decoder_b=np.zeros(config.output_dim),
+        encoder_w1=enc_w1, encoder_w2=enc_w2, layers=layers, decoder_w=dec_w
     )
 
 
@@ -261,36 +248,25 @@ def _draw_layer(rng, config: ModelConfig) -> LayerParams:
         values=values,
         out_weight=glorot_uniform(rng, d, d, (d, d)),
         ffn_w1=glorot_uniform(rng, d, e * d, (d, e * d)),
-        ffn_b1=np.zeros(e * d),
         ffn_w2=glorot_uniform(rng, e * d, d, (e * d, d)),
-        ffn_b2=np.zeros(d),
-        norm1_gain=np.ones(d),
-        norm1_bias=np.zeros(d),
-        norm2_gain=np.ones(d),
-        norm2_bias=np.zeros(d),
     )
 
 
-def layer_norm(X: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Row-wise normalization to zero mean and unit variance, then affine."""
+def layer_norm(X: np.ndarray) -> np.ndarray:
+    """Row-wise normalization to zero mean and unit variance."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("layer_norm expects (n, d) input with d >= 2")
     out = X - X.mean(axis=1, keepdims=True)
     var = np.square(out).sum(axis=1, keepdims=True) / X.shape[1]
     out /= np.sqrt(var + LAYER_NORM_EPS)
-    out *= gain
-    out += bias
     return out
 
 
 def feed_forward(X: np.ndarray, layer: LayerParams) -> np.ndarray:
     """Position-wise expansion MLP with a single rectifier."""
     hidden = X @ layer.ffn_w1
-    hidden += layer.ffn_b1
-    out = np.maximum(hidden, 0.0, out=hidden) @ layer.ffn_w2
-    out += layer.ffn_b2
-    return out
+    return np.maximum(hidden, 0.0, out=hidden) @ layer.ffn_w2
 
 
 def _head_operators(X, layer, G, kind):
@@ -355,20 +331,18 @@ def layer_step(
     kind = config.attention
     mult = None
     if config.variant == VARIANT_PRE_LN:
-        Y = message_passing(
-            layer_norm(X, layer.norm1_gain, layer.norm1_bias), layer, G, kind
-        )
+        Y = message_passing(layer_norm(X), layer, G, kind)
         Y += X
-        X = feed_forward(layer_norm(Y, layer.norm2_gain, layer.norm2_bias), layer)
+        X = feed_forward(layer_norm(Y), layer)
         X += Y
     else:
         if config.variant == VARIANT_NONLOCAL:
             mp, mult = nonlocal_message_passing(X, layer, G, kind)
         else:
             mp = message_passing(X, layer, G, kind)
-        Y = layer_norm(np.add(mp, X, out=mp), layer.norm1_gain, layer.norm1_bias)
+        Y = layer_norm(np.add(mp, X, out=mp))
         F = feed_forward(Y, layer)
-        X = layer_norm(np.add(F, Y, out=F), layer.norm2_gain, layer.norm2_bias)
+        X = layer_norm(np.add(F, Y, out=F))
     return X, mult
 
 
@@ -418,8 +392,7 @@ def _stream(params, config, G, X, branches):
     for k in range(len(params.layers) + 1):
         mult = None
         if k == 0:
-            X = np.maximum(X @ params.encoder_w1 + params.encoder_b1, 0.0)
-            X = X @ params.encoder_w2 + params.encoder_b2
+            X = np.maximum(X @ params.encoder_w1, 0.0) @ params.encoder_w2
         else:
             layer = params.layers[k - 1]
             for j, Xj in branches.items():
@@ -435,4 +408,4 @@ def _stream(params, config, G, X, branches):
 
 
 def _decode(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    return X @ params.decoder_w + params.decoder_b
+    return X @ params.decoder_w

@@ -97,7 +97,7 @@ def surrogate_sweep():
 # process before the depth sweep has churned the allocator.
 def test_criterion_10_gating_overhead_scaling():
     from graphenergy.network import (
-        feed_forward, layer_norm, message_passing, nonlocal_message_passing,
+        layer_step, message_passing, nonlocal_message_passing,
     )
 
     start = time.perf_counter()
@@ -124,10 +124,7 @@ def test_criterion_10_gating_overhead_scaling():
             return nonlocal_message_passing(X, layer, G, kind)
 
         def full_layer():
-            h = layer_norm(X + message_passing(X, layer, G, kind),
-                           layer.norm1_gain, layer.norm1_bias)
-            return layer_norm(h + feed_forward(h, layer),
-                              layer.norm2_gain, layer.norm2_bias)
+            return layer_step(X, layer, config, G)[0]
 
         return mp, nl, full_layer
 

@@ -23,10 +23,17 @@ from conftest import random_graph, traced_peak
 
 
 def _edge_value(scores, i, j):
+    ends = list(zip(*(e.tolist() for e in scores.graph.edge_ends)))
+    return scores.values[ends.index((min(i, j), max(i, j)))]
+
+
+def per_direction(scores):
+    """Each edge's score on both of its stored directions, aligned with
+    ``graph.indices``, looked up by endpoints."""
     G = scores.graph
-    lo, hi = G.indptr[i], G.indptr[i + 1]
-    row = G.indices[lo:hi]
-    return scores.values[lo:hi][row.tolist().index(j)]
+    src = np.repeat(np.arange(G.n), np.diff(G.indptr))
+    return np.array([_edge_value(scores, int(a), int(b))
+                     for a, b in zip(src, G.indices)], dtype=float)
 
 
 def induced_graph_oracle(scores):
@@ -35,7 +42,7 @@ def induced_graph_oracle(scores):
     closed-neighborhood softmax of symmetric scores ``e``."""
     G = scores.graph
     src, dst = np.repeat(np.arange(G.n), np.diff(G.indptr)), G.indices
-    w = np.exp(scores.values)
+    w = np.exp(per_direction(scores))
     mu = np.exp(scores.diagonal) + np.bincount(src, weights=w, minlength=G.n)
     upper = src < dst
     edges = np.column_stack([src[upper], dst[upper], w[upper]])
@@ -53,8 +60,10 @@ class TestScores:
     def test_shape_mismatch_rejected(self, p3):
         with pytest.raises(ValueError, match="edge list"):
             EdgeScores(graph=p3, values=np.ones(3), diagonal=np.ones(3))
+        with pytest.raises(ValueError, match="edge list"):  # one per direction
+            EdgeScores(graph=p3, values=np.ones(4), diagonal=np.ones(3))
         with pytest.raises(ValueError, match="diagonal"):
-            EdgeScores(graph=p3, values=np.ones(4), diagonal=np.ones(2))
+            EdgeScores(graph=p3, values=np.ones(2), diagonal=np.ones(2))
 
     def test_additive_zero_vector_gives_zero(self, p3):
         rng = np.random.default_rng(0)
@@ -112,7 +121,8 @@ def _reverse_positions(G):
 
 
 def averaged_directed_scores(kind, params, G, X):
-    """Each rule on every directed edge, averaged with its reverse."""
+    """Each rule on every directed edge, averaged with its reverse; one
+    value per undirected edge, read from its ``i < j`` copy."""
     src = np.repeat(np.arange(G.n), np.diff(G.indptr))
     dst = G.indices
     if kind.variant == "gat":
@@ -130,14 +140,14 @@ def averaged_directed_scores(kind, params, G, X):
         scale = 1.0 / np.sqrt(K.shape[1])
         off = scale * (K[src] * Q[dst]).sum(axis=1)
         diag = scale * (K * Q).sum(axis=1)
-    return 0.5 * (off + off[_reverse_positions(G)]), diag
+    return 0.5 * (off + off[_reverse_positions(G)])[src < dst], diag
 
 
 def closed_softmax_oracle(scores):
     """Row-max-shifted softmax over each closed neighborhood, assembled as
     ``csr + sparse.diags`` with per-row loops."""
     G = scores.graph
-    e, diag = scores.values, scores.diagonal
+    e, diag = per_direction(scores), scores.diagonal
     p_off = np.empty_like(e)
     p_diag = np.empty_like(diag)
     for i in range(G.n):
@@ -181,7 +191,6 @@ class TestOnePassScores:
                         atol=1e-14 * np.abs(values).max())
         assert_allclose(scores.diagonal, diag, rtol=0,
                         atol=1e-14 * np.abs(diag).max())
-        assert np.array_equal(scores.values, scores.values[_reverse_positions(G)])
 
     @pytest.mark.parametrize("graph", range(2))
     @pytest.mark.parametrize("slope", [0.2, 0.0, 1.7])
@@ -209,7 +218,7 @@ def one_pass_dot_scores(params, G, X):
     KQ = params.key @ params.query.T
     XS = X @ ((KQ + KQ.T) * (0.5 / np.sqrt(params.key.shape[1])))
     edge = np.einsum("ed,ed->e", X[i], XS[j])
-    return edge[G.undirected_edge_ids], np.einsum("nd,nd->n", X, XS)
+    return edge, np.einsum("nd,nd->n", X, XS)
 
 
 def _graph_with_edges(count: int, n: int = 12):
@@ -254,9 +263,9 @@ class TestScoreBlocks:
     def test_dense_graph_scores_in_bounded_memory(self):
         """ER with mean degree 40 on 2,000 nodes at d = 32: one n x d state
         is 512 KB and E/n = 20. Scoring may hold ``XS``, the two 1 MiB
-        block gathers (4 states here) and the length-E/2 and length-E
-        score arrays (1.9 states): 8 states. Gathering every edge at once
-        takes two E x d arrays, 40 states."""
+        block gathers (4 states here) and the length-E/2 score array
+        (0.6 states): 8 states. Gathering every edge at once takes two
+        E x d arrays, 40 states."""
         n, d = 2000, 32
         G = generate_graph(
             SyntheticSpec(kind="erdos-renyi", size=n, edge_prob=40 / (n - 1))
@@ -297,9 +306,8 @@ class TestClosedOperator:
     def test_huge_scores(self):
         G = _score_graphs()[1]
         rng = np.random.default_rng(32)
-        signs = rng.choice([-80.0, 80.0], size=G.indices.size)
-        values = np.maximum(signs, signs[_reverse_positions(G)])
-        scores = EdgeScores(graph=G, values=values,
+        scores = EdgeScores(graph=G,
+                            values=rng.choice([-80.0, 80.0], size=G.indices.size // 2),
                             diagonal=rng.choice([-80.0, 80.0], size=G.n))
         self._assert_matches_oracle(scores, rng.normal(size=(G.n, 3)))
 
@@ -336,43 +344,42 @@ class TestClosedOperator:
 
 class TestSymmetrize:
     def test_averages_pairs(self, p3):
-        base = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
-                                np.zeros((3, 1)))
-        values = base.values.copy()
-        # edge (0,1) gets 0, edge (1,0) gets 2
-        src = np.repeat([0, 1, 1, 2], 1)
+        # edge (0,1) gets 0, edge (1,0) gets 2; edge (1,2) gets 1 both ways
+        src = np.repeat(np.arange(3), np.diff(p3.indptr))
+        values = np.ones(p3.indices.size)
         for k, (i, j) in enumerate(zip(src, p3.indices)):
             if (i, j) == (0, 1):
                 values[k] = 0.0
             elif (i, j) == (1, 0):
                 values[k] = 2.0
-        scores = EdgeScores(graph=p3, values=values, diagonal=base.diagonal)
-        sym = symmetrize_scores(scores)
+        sym = symmetrize_scores(p3, values, np.zeros(3))
+        assert sym.values.tolist() == [1.0, 1.0]
         assert _edge_value(sym, 0, 1) == 1.0
-        assert _edge_value(sym, 1, 0) == 1.0
 
     def test_idempotent_exact(self):
         rng = np.random.default_rng(5)
         G, _ = random_graph(rng, 12)
-        scores = attention_scores(
-            AttentionKind("san"),
-            AttentionParams(key=rng.normal(size=(3, 3)), query=rng.normal(size=(3, 3))),
-            G,
-            rng.normal(size=(12, 3)),
-        )
-        once = symmetrize_scores(scores)
-        twice = symmetrize_scores(once)
+        once = symmetrize_scores(G, rng.normal(size=G.indices.size),
+                                 rng.normal(size=G.n))
+        twice = symmetrize_scores(G, per_direction(once), once.diagonal)
         assert np.array_equal(once.values, twice.values)
 
     def test_shared_key_query_already_symmetric(self, p3):
         # K = Q makes raw dot-product scores symmetric up to roundoff
         rng = np.random.default_rng(6)
         K = rng.normal(size=(2, 2))
+        X = rng.normal(size=(3, 2))
         scores = attention_scores(AttentionKind("san"),
-                                  AttentionParams(key=K, query=K), p3,
-                                  rng.normal(size=(3, 2)))
-        sym = symmetrize_scores(scores)
+                                  AttentionParams(key=K, query=K), p3, X)
+        src = np.repeat(np.arange(3), np.diff(p3.indptr))
+        KX = X @ K
+        raw = (KX[src] * KX[p3.indices]).sum(axis=1) / np.sqrt(2)
+        sym = symmetrize_scores(p3, raw, scores.diagonal)
         assert_allclose(sym.values, scores.values, rtol=0, atol=1e-15)
+
+    def test_shape_mismatch_rejected(self, p3):
+        with pytest.raises(ValueError, match="per-direction"):
+            symmetrize_scores(p3, np.ones(2), np.ones(3))
 
 
 class TestInducedAggregation:
@@ -404,27 +411,18 @@ class TestInducedAggregation:
             G,
             rng.normal(size=(25, 4)),
         )
-        P = attention_weighted_graph(symmetrize_scores(scores)) @ np.eye(25)
+        P = attention_weighted_graph(scores) @ np.eye(25)
         assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert P.min() >= 0.0
         assert np.all(P[np.arange(25), np.arange(25)] > 0.0)
 
-    def test_asymmetric_rejected(self, p3):
-        base = attention_scores(AttentionKind("gcn"), AttentionParams(), p3,
-                                np.zeros((3, 1)))
-        vals = base.values.copy()
-        vals[0] += 1.0
-        bad = EdgeScores(graph=p3, values=vals, diagonal=base.diagonal)
-        with pytest.raises(ValueError, match="symmetric"):
-            attention_weighted_graph(bad)
-
     def test_shift_invariance(self):
         rng = np.random.default_rng(10)
         G, _ = random_graph(rng, 14)
-        scores = symmetrize_scores(attention_scores(
+        scores = attention_scores(
             AttentionKind("san"),
             AttentionParams(key=rng.normal(size=(3, 3)), query=rng.normal(size=(3, 3))),
-            G, rng.normal(size=(14, 3))))
+            G, rng.normal(size=(14, 3)))
         shifted = EdgeScores(graph=G, values=scores.values + 37.0,
                              diagonal=scores.diagonal + 37.0)
         X = rng.normal(size=(14, 5))
@@ -435,11 +433,11 @@ class TestInducedAggregation:
     def test_graph_view_matches_applier(self):
         rng = np.random.default_rng(11)
         G, _ = random_graph(rng, 10)
-        scores = symmetrize_scores(attention_scores(
+        scores = attention_scores(
             AttentionKind("san"),
             AttentionParams(key=0.3 * rng.normal(size=(3, 3)),
                             query=0.3 * rng.normal(size=(3, 3))),
-            G, rng.normal(size=(10, 3))))
+            G, rng.normal(size=(10, 3)))
         induced = induced_graph_oracle(scores)
         assert induced.aggregation_admissible
         X = rng.normal(size=(10, 4))
@@ -461,10 +459,10 @@ class TestInducedAggregation:
 
     def test_constant_features_give_equal_rows(self, p3):
         rng = np.random.default_rng(12)
-        scores = symmetrize_scores(attention_scores(
+        scores = attention_scores(
             AttentionKind("san"),
             AttentionParams(key=rng.normal(size=(2, 2)), query=rng.normal(size=(2, 2))),
-            p3, np.ones((3, 2)) * 1.7))
+            p3, np.ones((3, 2)) * 1.7)
         X = np.ones((3, 4)) * 2.2
         out = attention_weighted_graph(scores) @ X
         assert_allclose(out, X, rtol=0, atol=1e-12)

@@ -776,6 +776,10 @@ class TestFlow:
             ("--feature-scale", "inf", "feature scale must be finite"),
             ("--d", "0", "d must be at least 1, got 0"),
             ("--d", "-3", "d must be at least 1, got -3"),
+            ("--horizon", "inf", "horizon must be positive and finite, got inf"),
+            ("--horizon", "nan", "horizon must be positive and finite, got nan"),
+            ("--dt", "inf", "dt must be positive and finite, got inf"),
+            ("--dt", "nan", "dt must be positive and finite, got nan"),
         ],
     )
     def test_bad_flow_argument_fails_before_building_graph(
@@ -859,6 +863,53 @@ class TestPrune:
                     ]
                 )
             assert not (tmp_path / "prune").exists()
+
+
+RING_10 = ["--kind", "ring", "--size", "10"]
+
+
+class TestRunTimeRefusals:
+    """A flow or prune scan that the numbers refuse mid-run exits with one
+    ``graphenergy:`` line and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["flow", *RING_10, "--flow", "heat", "--horizon", "4", "--dt", "5"],
+                "step 5 exceeds the stability limit", id="flow-unstable-step",
+            ),
+            pytest.param(
+                ["flow", *RING_10, "--flow", "preln", "--horizon", "4",
+                 "--feature-scale", "0"],
+                "a feature row collapsed to zero", id="flow-zero-row",
+            ),
+            pytest.param(
+                ["flow", *RING_10, "--flow", "heat", "--horizon", "4",
+                 "--feature-scale", "1e200"],
+                "order-1 derivative energy is not finite", id="flow-overflow",
+            ),
+            pytest.param(
+                ["prune", *RING_10, "--depth", "4", "--layers", "1",
+                 "--feature-scale", "0"],
+                "seed 0: reference output is identically zero", id="prune-zero",
+            ),
+            pytest.param(
+                ["prune", *RING_10, "--depth", "4", "--layers", "1",
+                 "--feature-scale", "1e308"],
+                "seed 0: non-finite values appeared at layer 0",
+                id="prune-non-finite",
+            ),
+        ],
+    )
+    def test_exits_with_one_line(self, tmp_path, argv, message):
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        code = exit_info.value.code
+        assert code.startswith(f"graphenergy: {message}") and "\n" not in code
+        assert not out.exists()
 
 
 SMALL_MODEL = ["--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3"]

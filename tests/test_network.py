@@ -32,7 +32,7 @@ from conftest import omitted_layer, random_graph, stack_states
 
 
 def identity_layer(d: int, heads: int = 1) -> LayerParams:
-    """GCN attention, identity value/output maps, zeroed FFN, plain norms."""
+    """GCN attention, identity value/output maps, zeroed FFN."""
     dh = d // heads
     blocks = []
     for h in range(heads):
@@ -44,13 +44,7 @@ def identity_layer(d: int, heads: int = 1) -> LayerParams:
         values=tuple(blocks),
         out_weight=np.eye(d),
         ffn_w1=np.zeros((d, 2 * d)),
-        ffn_b1=np.zeros(2 * d),
         ffn_w2=np.zeros((2 * d, d)),
-        ffn_b2=np.zeros(d),
-        norm1_gain=np.ones(d),
-        norm1_bias=np.zeros(d),
-        norm2_gain=np.ones(d),
-        norm2_bias=np.zeros(d),
     )
 
 
@@ -96,8 +90,7 @@ class TestInit:
         assert layer.attention[0].attn_vector.shape == (8,)
         assert layer.values[0].shape == (8, 4)
         assert layer.ffn_w1.shape == (8, 16)
-        assert np.all(layer.norm1_gain == 1.0)
-        assert np.all(layer.ffn_b1 == 0.0)
+        assert layer.ffn_w2.shape == (16, 8)
         assert params.decoder_w.shape == (8, 3)
 
     @pytest.mark.parametrize("heads", (1, 2, 4))
@@ -139,33 +132,28 @@ class TestInit:
 
 class TestLayerNorm:
     def test_already_normalized_row(self):
-        out = layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
+        out = layer_norm(np.array([[1.0, -1.0]]))
         assert_allclose(out, [[1.0, -1.0]], atol=1e-4)
 
-    def test_affine_output(self):
-        out = layer_norm(np.array([[0.0, 2.0]]), np.full(2, 2.0), np.ones(2))
-        assert_allclose(out, [[-1.0, 3.0]], atol=1e-4)
-
-    def test_constant_row_maps_to_bias(self):
-        out = layer_norm(np.full((2, 3), 9.0), np.ones(3), np.full(3, 0.25))
-        assert_allclose(out, 0.25, atol=1e-12)
+    def test_constant_row_maps_to_zero(self):
+        out = layer_norm(np.full((2, 3), 9.0))
+        assert np.array_equal(out, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("d", [2, 32])
     def test_bitwise_equal_to_formula(self, d):
         rng = np.random.default_rng(d)
         X = 3.0 * rng.normal(size=(40, d)) + rng.normal(size=(40, 1))
         X[3], X[17] = -1.25, 4.0  # constant rows
-        gain, bias = rng.normal(size=d), rng.normal(size=d)
         before = X.copy()
         mean = X.mean(axis=1, keepdims=True)
         var = X.var(axis=1, keepdims=True)
-        expected = (X - mean) / np.sqrt(var + LAYER_NORM_EPS) * gain + bias
-        assert np.array_equal(layer_norm(X, gain, bias), expected)
+        expected = (X - mean) / np.sqrt(var + LAYER_NORM_EPS)
+        assert np.array_equal(layer_norm(X), expected)
         assert np.array_equal(X, before)
 
     def test_needs_two_features(self):
         with pytest.raises(ValueError, match="d >= 2"):
-            layer_norm(np.ones((3, 1)), np.ones(1), np.zeros(1))
+            layer_norm(np.ones((3, 1)))
 
 
 class TestMessagePassing:
@@ -249,7 +237,7 @@ class TestForward:
         params = init_model(cfg)
         zeroed = _zero_branches(params)
         _, states = stack_states(zeroed, cfg, G, rng.normal(size=(7, 3)))
-        expected = layer_norm(states[0], np.ones(8), np.zeros(8))
+        expected = layer_norm(states[0])
         # normalization is idempotent up to eps/(2 var) per row
         assert_allclose(states[1], expected, atol=2e-3)
         assert_allclose(states[2], expected, atol=2e-3)
@@ -281,12 +269,10 @@ class TestForward:
         X = np.full((3, 4), 2.0)
         mp, mults = nonlocal_message_passing(X, layer, p3, AttentionKind("gcn"))
         assert mults.max() <= 1e-28
-        Y = layer_norm(X + mp, layer.norm1_gain, layer.norm1_bias)
-        manual = layer_norm(Y + feed_forward(Y, layer), layer.norm2_gain,
-                            layer.norm2_bias)
-        Y0 = layer_norm(X, layer.norm1_gain, layer.norm1_bias)
-        plain = layer_norm(Y0 + feed_forward(Y0, layer), layer.norm2_gain,
-                           layer.norm2_bias)
+        Y = layer_norm(X + mp)
+        manual = layer_norm(Y + feed_forward(Y, layer))
+        Y0 = layer_norm(X)
+        plain = layer_norm(Y0 + feed_forward(Y0, layer))
         assert_allclose(manual, plain, atol=1e-12)
 
     def test_input_shape_checked(self):
@@ -302,17 +288,10 @@ class TestForward:
         cfg = self._config(G, depth=2)
         params = init_model(cfg)
         bad_layer = params.layers[1]
-        poisoned = LayerParams(
-            attention=bad_layer.attention,
-            values=bad_layer.values,
-            out_weight=bad_layer.out_weight * np.inf,
-            ffn_w1=bad_layer.ffn_w1, ffn_b1=bad_layer.ffn_b1,
-            ffn_w2=bad_layer.ffn_w2, ffn_b2=bad_layer.ffn_b2,
-            norm1_gain=bad_layer.norm1_gain, norm1_bias=bad_layer.norm1_bias,
-            norm2_gain=bad_layer.norm2_gain, norm2_bias=bad_layer.norm2_bias,
+        poisoned = dataclasses.replace(
+            bad_layer, out_weight=bad_layer.out_weight * np.inf
         )
-        from dataclasses import replace
-        broken = replace(params, layers=(params.layers[0], poisoned))
+        broken = dataclasses.replace(params, layers=(params.layers[0], poisoned))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLayerError) as err:
             forward_trajectory(broken, cfg, G, rng.normal(size=(6, 3)))
         assert err.value.layer == 2
