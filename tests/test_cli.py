@@ -865,53 +865,6 @@ class TestPrune:
             assert not (tmp_path / "prune").exists()
 
 
-RING_10 = ["--kind", "ring", "--size", "10"]
-
-
-class TestRunTimeRefusals:
-    """A flow or prune scan that the numbers refuse mid-run exits with one
-    ``graphenergy:`` line and writes nothing."""
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            pytest.param(
-                ["flow", *RING_10, "--flow", "heat", "--horizon", "4", "--dt", "5"],
-                "step 5 exceeds the stability limit", id="flow-unstable-step",
-            ),
-            pytest.param(
-                ["flow", *RING_10, "--flow", "preln", "--horizon", "4",
-                 "--feature-scale", "0"],
-                "a feature row collapsed to zero", id="flow-zero-row",
-            ),
-            pytest.param(
-                ["flow", *RING_10, "--flow", "heat", "--horizon", "4",
-                 "--feature-scale", "1e200"],
-                "order-1 derivative energy is not finite", id="flow-overflow",
-            ),
-            pytest.param(
-                ["prune", *RING_10, "--depth", "4", "--layers", "1",
-                 "--feature-scale", "0"],
-                "seed 0: reference output is identically zero", id="prune-zero",
-            ),
-            pytest.param(
-                ["prune", *RING_10, "--depth", "4", "--layers", "1",
-                 "--feature-scale", "1e308"],
-                "seed 0: non-finite values appeared at layer 0",
-                id="prune-non-finite",
-            ),
-        ],
-    )
-    def test_exits_with_one_line(self, tmp_path, argv, message):
-        out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SystemExit) as exit_info:
-            main(argv + ["--out", str(out)])
-        code = exit_info.value.code
-        assert code.startswith(f"graphenergy: {message}") and "\n" not in code
-        assert not out.exists()
-
-
 SMALL_MODEL = ["--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3"]
 # The commands that hash a graph, without their graph flags.
 GRAPH_RUNS = {
@@ -1133,6 +1086,7 @@ class TestMissingFile:
 class TestBadGraphSource:
     SPARSE = ["--kind", "erdos-renyi", "--size", "50", "--edge-prob", "0.01",
               "--retries", "2"]
+    RING = ["--kind", "ring", "--size", "10"]
     MODEL = ["--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3"]
 
     @pytest.mark.parametrize("argv, message", [
@@ -1152,8 +1106,23 @@ class TestBadGraphSource:
         (["gen", *SPARSE, "--out", "{out}"], "no connected sample within 2 draws"),
         (["flow", *SPARSE, "--flow", "heat", "--horizon", "1", "--out", "{out}"],
          "no connected sample within 2 draws"),
+        # refusals met while the flow or the prune scan runs
+        (["flow", *RING, "--flow", "heat", "--horizon", "4", "--dt", "5",
+          "--out", "{out}"], "step 5 exceeds the stability limit"),
+        (["flow", *RING, "--flow", "preln", "--horizon", "4", "--feature-scale", "0",
+          "--out", "{out}"], "a feature row collapsed to zero"),
+        (["flow", *RING, "--flow", "heat", "--horizon", "4",
+          "--feature-scale", "1e200", "--out", "{out}"],
+         "order-1 derivative energy is not finite"),
+        (["prune", *RING, "--depth", "4", "--layers", "1", "--feature-scale", "0",
+          "--out", "{out}"], "seed 0: reference output is identically zero"),
+        (["prune", *RING, "--depth", "4", "--layers", "1",
+          "--feature-scale", "1e308", "--out", "{out}"],
+         "seed 0: non-finite values appeared at layer 0"),
     ], ids=["sweep-loop", "flow-malformed", "prune-loop", "stats-malformed",
-            "stats-rows", "stats-token", "gen-retries", "flow-retries"])
+            "stats-rows", "stats-token", "gen-retries", "flow-retries",
+            "flow-unstable-step", "flow-zero-row", "flow-overflow", "prune-zero",
+            "prune-non-finite"])
     def test_exits_with_one_line(self, tmp_path, argv, message):
         files = {"loop": "0 1\n2 2\n", "bad": "0 1\n1\n",
                  "rows": "1,2\n3,4\n", "token": "1,2\n3,x\n"}
@@ -1162,7 +1131,8 @@ class TestBadGraphSource:
             paths[name] = tmp_path / f"{name}.txt"
             paths[name].write_text(text)
         argv = [a.format(**paths) for a in argv]
-        with pytest.raises(SystemExit) as exit_info:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SystemExit) as exit_info:
             main(argv)
         text = str(exit_info.value.code)
         assert text.startswith("graphenergy: ") and "\n" not in text
