@@ -80,9 +80,10 @@ class FlowSpec:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        for name, value in (("horizon", self.horizon), ("dt", self.dt)):
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
