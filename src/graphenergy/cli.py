@@ -56,7 +56,6 @@ from graphenergy.ingest import (
     generate_graph,
     load_edge_list,
     load_features,
-    load_matrix,
     random_features,
     write_edge_list,
 )
@@ -517,12 +516,12 @@ def cmd_similarity(args) -> int:
     for name in names:
         path = os.path.join(args.states, name)
         try:
-            states.append(load_matrix(path))
-            if states[-1].shape != states[0].shape:
-                raise ValueError(f"shape {states[-1].shape} differs from "
-                                 f"{names[0]}'s {states[0].shape}")
+            states.append(load_features(path))
         except ValueError as exc:
-            raise SystemExit(f"graphenergy: {path}: {exc}") from None
+            raise SystemExit(f"graphenergy: {exc}") from None
+        if states[-1].shape != states[0].shape:
+            raise SystemExit(f"graphenergy: {path}: shape {states[-1].shape} "
+                             f"differs from {names[0]}'s {states[0].shape}")
     matrix = cosine_similarity_matrix(states)
     config_hash = _config_hash({"states": names, "data": _data_digest(states)})
     _write_csv(

@@ -385,7 +385,8 @@ def prune_scan(
     intact stack's input to it, and each layer is drawn once, applied to
     every stack under way, and dropped. A non-finite intact stack raises
     first, then the first of ``layers`` whose stack turned non-finite,
-    with the layer where it did.
+    with the layer where it did. A reference output that is zero, or
+    whose norm overflows, leaves no deviation to measure and raises.
     """
     layers = tuple(layers)
     ends = dict.fromkeys(layers)
@@ -395,6 +396,8 @@ def prune_scan(
     scale = np.linalg.norm(reference)
     if scale == 0:
         raise ValueError("reference output is identically zero")
+    if scale == np.inf:
+        raise ValueError("reference output norm overflows to inf")
     ref_norms = np.linalg.norm(reference, axis=1)
     reports = []
     for layer in layers:

@@ -183,6 +183,18 @@ class WeightedGraph:
         return self.component_count == 1
 
 
+class EdgeEntryError(ValueError):
+    """An edge entry that :func:`build_weighted_graph` refuses. ``entries``
+    holds its 0-based input position, then, for a weight conflict, that of
+    an earlier entry with the other weight; ``reason`` calls the earlier
+    one ``{1}``, so a caller can name both entries its own way."""
+
+    def __init__(self, reason: str, *entries: int):
+        self.reason, self.entries = reason, entries
+        names = (f"entry {k}" for k in entries)
+        super().__init__(f"entry {entries[0]}: " + reason.format(*names))
+
+
 def build_weighted_graph(
     edges,
     measure=DEGREE_PLUS_ONE,
@@ -195,9 +207,20 @@ def build_weighted_graph(
     in both orientations or repeatedly is fine as long as the weights
     agree. ``measure`` is either the string ``"degree-plus-one"`` (then
     ``mu_i = sum_j w_ij + 1``) or an explicit positive array of length n.
+
+    Edge entries are checked here and nowhere else, in this order: integer
+    endpoints in ``[0, n)``, no self-loops, finite positive weights, one
+    weight per edge. Each check raises an :class:`EdgeEntryError` at the
+    first entry it refuses.
     """
     src, dst, wgt = _parse_edges(edges)
 
+    def refuse(bad: np.ndarray, reason: str) -> None:
+        if bad.any():
+            k = int(bad.argmax())
+            raise EdgeEntryError(reason.format(i=src[k], j=dst[k], w=float(wgt[k])), k)
+
+    refuse((src < 0) | (dst < 0), "edge ({i}, {j}) has a negative node index")
     if n is None:
         if not isinstance(measure, str):
             n = len(np.atleast_1d(measure))
@@ -210,19 +233,12 @@ def build_weighted_graph(
     n = int(n)
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
-
-    if src.size:
-        if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
-            raise ValueError(f"edge endpoint out of range for n={n}")
-        loops = src == dst
-        if loops.any():
-            i = int(src[loops.argmax()])
-            raise ValueError(
-                f"self-loop ({i}, {i}) not allowed: self-mass belongs in the "
-                "vertex measure, and aggregation adds the identity"
-            )
-        if not np.all(np.isfinite(wgt)) or wgt.min() <= 0:
-            raise ValueError("edge weights must be finite and strictly positive")
+    refuse((src >= n) | (dst >= n), "edge ({i}, {j}) has an endpoint out of range "
+           f"for n={n}")
+    refuse(src == dst, "self-loop ({i}, {i}) not allowed: self-mass belongs in the "
+           "vertex measure, and aggregation adds the identity")
+    refuse(~((wgt > 0) & (wgt < np.inf)), "edge ({i}, {j}) has weight {w!r}; edge "
+           "weights must be finite and strictly positive")
 
     indptr, indices, weights = _symmetric_csr(n, src, dst, wgt)
 
@@ -339,24 +355,23 @@ def _parse_edges(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if isinstance(edges, np.ndarray):
         # integer endpoints stay integers; anything else is checked below
         arr = edges if edges.dtype.kind in "iu" else edges.astype(float)
-        if arr.size == 0:
-            arr = arr.reshape(0, 3)
     else:
         rows = list(edges)
-        if not rows:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
         widths = {len(r) for r in rows}
         if not widths <= {2, 3}:
             raise ValueError("edges must be (i, j) or (i, j, w) entries")
         arr = np.array([tuple(r) + (1.0,) * (3 - len(r)) for r in rows], dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ValueError("edge array must have shape (E, 2) or (E, 3)")
     ij = arr[:, :2]
-    if arr.dtype.kind == "f" and (
-        not np.all(np.isfinite(ij)) or np.any(ij != np.floor(ij))
-    ):
-        raise ValueError("edge endpoints must be integers")
+    if arr.dtype.kind == "f":
+        bad = (ij != np.floor(ij)) | np.isinf(ij)
+        if bad.any():
+            raise EdgeEntryError(
+                f"node index {float(ij[bad][0])!r} is not an integer; edge "
+                "endpoints must be integers", int(bad.any(axis=1).argmax()))
     src = ij[:, 0].astype(np.int64)
     dst = ij[:, 1].astype(np.int64)
     wgt = arr[:, 2].astype(float) if arr.shape[1] == 3 else np.ones(len(arr))
@@ -371,17 +386,19 @@ def _symmetric_csr(n, src, dst, wgt):
     order = np.argsort(key, kind="stable")
     key = key[order]
     w = np.concatenate([wgt, wgt])[order]
-    del order
     if key.size:
         dup = key[1:] == key[:-1]
         conflict = dup & (w[1:] != w[:-1])
         if conflict.any():
             k = int(conflict.argmax()) + 1
             u, v = divmod(int(key[k]), n)
-            raise ValueError(
-                f"edge ({u}, {v}) listed with conflicting weights "
-                f"{w[k - 1]!r} and {w[k]!r}"
+            earlier, entry = sorted(order[[k - 1, k]] % src.size)
+            raise EdgeEntryError(
+                f"edge ({u}, {v}) has weight {float(wgt[entry])!r}, but {{1}} gave "
+                f"it the conflicting weight {float(wgt[earlier])!r}",
+                int(entry), int(earlier),
             )
+        del order
         keep = np.concatenate([[True], ~dup])
         del dup, conflict
         key, w = key[keep], w[keep]

@@ -2,8 +2,8 @@
 
 Edge lists are plain text, one edge per line as ``i j`` or ``i j w``,
 whitespace separated, 0-indexed, undirected, with ``#`` comments.
-Features are headerless CSV, row i = node i. Matrix dumps carry a single
-``#`` metadata line.
+Features are headerless CSV, row i = node i; matrix dumps are the same
+with a single ``#`` metadata line, and both read through ``load_features``.
 
 Generators use numpy's seeded PCG64 stream, so identical specs
 reproduce identical graphs across runs and platforms.
@@ -11,12 +11,15 @@ reproduce identical graphs across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import os
+import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from graphenergy.graph import WeightedGraph, build_weighted_graph
+from graphenergy.graph import EdgeEntryError, WeightedGraph, build_weighted_graph
 
 KIND_PATH = "path"
 KIND_RING = "ring"
@@ -199,61 +202,51 @@ def random_features(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray
 
 def load_edge_list(path) -> WeightedGraph:
     """Read an undirected edge list; see the module docstring for the
-    format. Duplicate lines (either orientation) collapse to one edge.
-    Malformed lines, self-loops and a pair listed with two different
-    weights report their 1-based line number."""
-    edges: dict[tuple[int, int], tuple[float, int]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) not in (2, 3):
+    format. Repeated lines (either orientation) collapse to one edge.
+    ``np.loadtxt`` reads a file whose lines are all ``i j`` or all ``i j w``,
+    and any other file is read line by line. A malformed line, or an entry
+    ``build_weighted_graph`` refuses, raises naming its ``path:line`` (both
+    lines of a pair listed with two weights)."""
+    try:
+        # open() names a missing file; loadtxt reads a path in large chunks
+        with open(path), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: refused below
+            rows = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] not in (2, 3):
+        values = array("d")
+        for lineno, raw, row in _data_rows(path):
+            if len(row) not in (2, 3):
                 raise ValueError(
-                    f"{path}:{lineno}: expected 'i j' or 'i j w', "
-                    f"got {raw.strip()!r}"
+                    f"{path}:{lineno}: expected 'i j' or 'i j w', got {raw.strip()!r}"
                 )
-            i = _int_token(tokens[0], path, lineno)
-            j = _int_token(tokens[1], path, lineno)
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}:{lineno}: negative node index")
-            if i == j:
-                raise ValueError(
-                    f"{path}:{lineno}: self-loop ({i}, {i}) not allowed"
-                )
-            w = 1.0
-            if len(tokens) == 3:
-                try:
-                    w = float(tokens[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric weight {tokens[2]!r}"
-                    ) from None
-            key = (min(i, j), max(i, j))
-            seen = edges.setdefault(key, (w, lineno))
-            if seen[0] != w:
-                raise ValueError(
-                    f"{path}:{lineno}: edge {key} has weight {w!r}, but line "
-                    f"{seen[1]} gave it {seen[0]!r}"
-                )
-    if not edges:
+            values.extend(row + [1.0] * (3 - len(row)))
+        rows = np.frombuffer(values).reshape(-1, 3)
+    if not rows.size:
         raise ValueError(f"{path}: no edges found")
-    return build_weighted_graph(
-        sorted((i, j, w) for (i, j), (w, _) in edges.items())
-    )
+    try:
+        return build_weighted_graph(rows)
+    except EdgeEntryError as exc:  # entry k is the k-th data line
+        lines = [next(itertools.islice(_data_rows(path), k, None))[0]
+                 for k in exc.entries]
+        names = (f"line {line}" for line in lines)
+        raise ValueError(f"{path}:{lines[0]}: " + exc.reason.format(*names)) from None
 
 
-def load_features(path, n: int) -> np.ndarray:
-    """Read a headerless CSV feature matrix and check it has n rows.
-    A non-numeric token is reported with its line and column; a missing
-    file raises ``FileNotFoundError`` carrying its name."""
+def load_features(path, n: int | None = None) -> np.ndarray:
+    """Read a headerless CSV table, such as features or a state dump,
+    and check it has n rows when n is given. A non-numeric token is
+    reported with its line and column; a missing file raises
+    ``FileNotFoundError`` carrying its name."""
     try:
         with open(path) as fh:
             arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     except ValueError:
-        raise ValueError(_locate_bad_token(path)) from None
-    if arr.shape[0] != n:
+        for _ in _data_rows(path, ","):  # raises at the first non-numeric token
+            pass
+        raise ValueError(f"{path}: failed to parse as a numeric table") from None
+    if n is not None and arr.shape[0] != n:
         raise ValueError(f"{path}: expected {n} rows, found {arr.shape[0]}")
     return arr
 
@@ -285,38 +278,23 @@ def write_matrix(path, M: np.ndarray, provenance: str = "") -> None:
     np.savetxt(path, M, delimiter=",", header=header)
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read back a write_matrix dump (or any headerless CSV matrix)."""
-    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-
-
-def _int_token(token: str, path, lineno: int) -> int:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(
-            f"{path}:{lineno}: non-numeric node index {token!r}"
-        ) from None
-    if not value.is_integer():
-        raise ValueError(f"{path}:{lineno}: node index {token!r} is not an integer")
-    return int(value)
-
-
-def _locate_bad_token(path) -> str:
+def _data_rows(path, sep: str | None = None):
+    """``(line number, line, values)`` of each line of ``path`` that holds
+    data once its ``#`` comment is cut, its tokens split on ``sep``; a
+    non-numeric token raises with its line and column."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            for col, token in enumerate(line.split(","), start=1):
+            values = []
+            for col, token in enumerate(line.split(sep), start=1):
                 try:
-                    float(token)
+                    values.append(float(token))
                 except ValueError:
-                    return (
-                        f"{path}:{lineno}: column {col}: "
-                        f"non-numeric token {token.strip()!r}"
-                    )
-    return f"{path}: failed to parse as a numeric table"
+                    raise ValueError(f"{path}:{lineno}: column {col}: "
+                                     f"non-numeric token {token.strip()!r}") from None
+            yield lineno, raw, values
 
 
 def ensure_directory(path) -> None:

@@ -1119,13 +1119,24 @@ class TestBadGraphSource:
         (["prune", *RING, "--depth", "4", "--layers", "1",
           "--feature-scale", "1e308", "--out", "{out}"],
          "seed 0: non-finite values appeared at layer 0"),
+        (["prune", *RING, "--depth", "4", "--layers", "1",
+          "--feature-scale", "1e300", "--out", "{out}"],
+         "seed 0: reference output norm overflows to inf"),
+        *[(["stats", "--edges", "{%s}" % name],
+           "{%s}:2: edge (1, 2) has weight %s; edge weights must be finite "
+           "and strictly positive" % (name, shown))
+          for name, shown in [("nan", "nan"), ("inf", "inf"), ("zero", "0.0"),
+                              ("negative", "-2.0")]],
     ], ids=["sweep-loop", "flow-malformed", "prune-loop", "stats-malformed",
             "stats-rows", "stats-token", "gen-retries", "flow-retries",
             "flow-unstable-step", "flow-zero-row", "flow-overflow", "prune-zero",
-            "prune-non-finite"])
+            "prune-non-finite", "prune-overflow", "stats-nan-weight",
+            "stats-inf-weight", "stats-zero-weight", "stats-negative-weight"])
     def test_exits_with_one_line(self, tmp_path, argv, message):
         files = {"loop": "0 1\n2 2\n", "bad": "0 1\n1\n",
-                 "rows": "1,2\n3,4\n", "token": "1,2\n3,x\n"}
+                 "rows": "1,2\n3,4\n", "token": "1,2\n3,x\n",
+                 **{name: f"0 1 1\n1 2 {w}\n" for name, w in
+                    [("nan", "nan"), ("inf", "inf"), ("zero", "0"), ("negative", "-2")]}}
         paths = {"out": tmp_path / "out"}
         for name, text in files.items():
             paths[name] = tmp_path / f"{name}.txt"
@@ -1208,9 +1219,9 @@ class TestSimilarityErrors:
         states.mkdir()
         write_matrix(states / "layer-000.csv", np.ones((2, 2)))
         (states / "layer-001.csv").write_text("1.0,1.0\n1.0,oops\n")
-        message = self.exit_line(tmp_path, states)
-        assert message.startswith(f"graphenergy: {states / 'layer-001.csv'}: ")
-        assert "'oops'" in message
+        assert self.exit_line(tmp_path, states) == (
+            f"graphenergy: {states / 'layer-001.csv'}:2: column 2: "
+            "non-numeric token 'oops'")
 
     def test_states_path_is_a_file(self, tmp_path):
         states = tmp_path / "layer-000.csv"

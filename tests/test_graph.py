@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from graphenergy import graph
 from graphenergy.graph import (
+    EdgeEntryError,
     WeightedGraph,
     _edge_differences,
     _squared_row_norms,
@@ -81,20 +82,37 @@ class TestConstruction:
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):
             build_weighted_graph([(0, 1, 1.0), (1, 0, 2.0)])
+        # the refusal names the later entry, then the earlier one
+        with pytest.raises(EdgeEntryError, match=r"^entry 3: edge \(1, 2\) has "
+                           r"weight 2\.0, but entry 1 gave it the conflicting") as info:
+            build_weighted_graph([(0, 1), (2, 1), (1, 3), (1, 2, 2.0)])
+        assert info.value.entries == (3, 1)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             build_weighted_graph([(0, 0, 1.0), (0, 1, 1.0)])
+        with pytest.raises(EdgeEntryError, match=r"^entry 1: self-loop") as info:
+            build_weighted_graph([(0, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0)])
+        assert info.value.entries == (1,)
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             build_weighted_graph([(0, 1, 0.0)])
         with pytest.raises(ValueError, match="positive"):
             build_weighted_graph([(0, 1, -2.0)])
+        for w in (np.nan, np.inf):
+            with pytest.raises(EdgeEntryError, match=rf"^entry 1: edge \(1, 2\) has "
+                               rf"weight {w}; edge weights must be finite") as info:
+                build_weighted_graph([(0, 1, 1.0), (1, 2, w)])
+            assert info.value.entries == (1,)
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="out of range"):
             build_weighted_graph([(0, 5, 1.0)], n=3)
+        with pytest.raises(EdgeEntryError, match=r"^entry 1: edge \(-1, 2\) has "
+                           "a negative node index") as info:
+            build_weighted_graph(np.array([[0, 1], [-1, 2]]), n=3)
+        assert info.value.entries == (1,)
 
     def test_bad_measure(self):
         with pytest.raises(ValueError, match="positive"):
@@ -126,6 +144,9 @@ class TestConstruction:
             build_weighted_graph(np.array([[0.0, 1.5], [1.0, 2.0]]))
         with pytest.raises(ValueError, match="endpoints must be integers"):
             build_weighted_graph(np.array([[0.0, np.nan]]))
+        with pytest.raises(EdgeEntryError, match=r"^entry 2: node index inf ") as info:
+            build_weighted_graph(np.array([[0.0, 1.0], [1.0, 2.0], [np.inf, 0.0]]))
+        assert info.value.entries == (2,)
 
     def test_empty_edges_need_n(self):
         with pytest.raises(ValueError, match="vertex count"):

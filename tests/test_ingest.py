@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphenergy.ingest as ingest
-from graphenergy.cli import surrogate_spec
+from graphenergy.cli import main, surrogate_spec
 from graphenergy.graph import build_weighted_graph
 from graphenergy.ingest import (
     DatasetStats,
@@ -14,11 +16,11 @@ from graphenergy.ingest import (
     generate_graph,
     load_edge_list,
     load_features,
-    load_matrix,
     random_features,
     write_edge_list,
     write_matrix,
 )
+from graphenergy.sweep import _graph_digest
 
 from conftest import neighbors, traced_peak, triu_sample
 
@@ -282,37 +284,86 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match=r"bad\.txt:3"):
             load_edge_list(f)
 
-    def test_too_many_tokens(self, tmp_path):
+    # File text and the refusal that follows "path:"; every kind of bad
+    # line, each as the first bad line of its file.
+    REFUSED = {
+        "too-many-tokens": (
+            "0 1 1.0 7\n", r"1: expected 'i j' or 'i j w', got '0 1 1\.0 7'"),
+        "non-numeric-token": ("0 1\n1 x\n", r"2: column 2: non-numeric token 'x'"),
+        "fractional-index": (
+            "0 1\n1.5 2\n", r"2: node index 1\.5 is not an integer"),
+        "negative-index": ("-1 2\n", r"1: edge \(-1, 2\) has a negative node index"),
+        "negative-indices": (
+            "-3 -2\n", r"1: edge \(-3, -2\) has a negative node index"),
+        "self-loop": ("0 1\n2 2\n", r"2: self-loop \(2, 2\) not allowed"),
+        "conflicting-weights": (
+            "0 1 2.0\n1 2 1\n1 0 3.0\n",
+            r"3: edge \(0, 1\) has weight 3\.0, but line 1 gave it the "
+            r"conflicting weight 2\.0$"),
+        **{
+            f"{name}-weight": (
+                f"0 1 1\n1 2 {token}\n",
+                rf"2: edge \(1, 2\) has weight {shown}; edge weights must be "
+                "finite and strictly positive$")
+            for name, token, shown in [("nan", "nan", "nan"), ("inf", "inf", "inf"),
+                                       ("zero", "0", "0.0"), ("negative", "-2", "-2.0")]
+        },
+    }
+
+    @pytest.mark.parametrize("tail", ["", "# widths mix below\n8 9\n8 9 1.0\n"],
+                             ids=["as-is", "mixed-widths"])
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_refusal_names_line(self, tmp_path, case, tail):
+        """Each refusal names ``path:line``. Appending lines of both widths
+        moves the file off ``np.loadtxt`` to the line-by-line pass, which
+        must name the same line."""
+        text, refusal = self.REFUSED[case]
         f = tmp_path / "bad.txt"
-        f.write_text("0 1 1.0 7\n")
-        with pytest.raises(ValueError, match="expected 'i j'"):
+        f.write_text(text + tail)
+        with pytest.raises(ValueError, match=re.escape(f"{f}:") + refusal):
             load_edge_list(f)
 
-    def test_fractional_index(self, tmp_path):
-        f = tmp_path / "bad.txt"
-        f.write_text("0 1\n1.5 2\n")
-        with pytest.raises(ValueError, match=r"bad\.txt:2.*not an integer"):
-            load_edge_list(f)
+    MIXED = (
+        "# weighted graph: comments, blanks, both orientations, repeats\n"
+        "0 1 0.5\n"
+        "1 2 0.25   # trailing note\n"
+        "\n"
+        "2 0 0.5\n"
+        "1 0 0.5\n"
+        "3 2\n"
+        "2\t3 1.0\n"
+        "   # indented comment\n"
+        "3 4 2\n"
+        "4 5 0.1\n"
+        "5 4 0.1\n"
+        "0 1 0.5\n"
+        "  6 5 1e-3\n"
+        "7 1 3.25\n"
+    )
 
-    def test_negative_index(self, tmp_path):
-        f = tmp_path / "bad.txt"
-        f.write_text("-1 2\n")
-        with pytest.raises(ValueError, match="negative node index"):
-            load_edge_list(f)
+    def test_loaded_graphs_keep_their_digests(self, tmp_path):
+        """``sweep._graph_digest`` of two loaded files, recorded with the
+        earlier line-by-line loader: a weighted file with comments, blank
+        lines, both orientations, repeats and mixed widths, and the
+        surrogate as ``gen`` writes it."""
+        mixed, surrogate = tmp_path / "mixed.txt", tmp_path / "surrogate.txt"
+        mixed.write_text(self.MIXED)
+        assert main(["gen", "--out", str(surrogate)]) == 0
+        assert _graph_digest(load_edge_list(mixed)) == "202e9e3adbc0"
+        assert _graph_digest(load_edge_list(surrogate)) == "49f81161246c"
 
-    def test_self_loop_reports_line(self, tmp_path):
-        f = tmp_path / "loop.txt"
-        f.write_text("0 1\n2 2\n")
-        with pytest.raises(ValueError, match=r"loop\.txt:2: self-loop \(2, 2\)"):
-            load_edge_list(f)
-
-    def test_conflicting_weights_report_both_lines(self, tmp_path):
-        f = tmp_path / "clash.txt"
-        f.write_text("0 1 2.0\n1 2\n1 0 3.0\n")
-        with pytest.raises(
-            ValueError, match=r"clash\.txt:3: edge \(0, 1\) has weight 3\.0, but line 1"
-        ):
-            load_edge_list(f)
+    def test_large_file_in_bounded_memory(self, tmp_path):
+        """A seeded 2·10⁵-line file over 10⁵ nodes. Checking it line by
+        line through a dict of tuples peaked at ~430 bytes a line; read
+        into arrays, it peaks at ~130."""
+        draw = np.random.default_rng(0).integers
+        i, j = draw(0, 10**5, 2 * 10**5), draw(0, 10**5, 2 * 10**5)
+        pairs = np.column_stack([i, j])[i != j]
+        f = tmp_path / "big.txt"
+        np.savetxt(f, pairs, fmt="%d")
+        G, peak = traced_peak(lambda: load_edge_list(f))
+        assert G.indices.size // 2 == np.unique(np.sort(pairs, axis=1), axis=0).shape[0]
+        assert peak < 250 * len(pairs), (peak, len(pairs))
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.txt"
@@ -404,7 +455,7 @@ class TestRoundTrips:
         M = rng.normal(size=(4, 3))
         f = tmp_path / "m.csv"
         write_matrix(f, M, provenance="unit-test")
-        np.testing.assert_array_equal(load_matrix(f), M)
+        np.testing.assert_array_equal(load_features(f), M)
         header = f.read_text().splitlines()[0]
         assert header.startswith("#") and "4x3" in header and "unit-test" in header
 
