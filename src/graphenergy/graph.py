@@ -231,10 +231,10 @@ def build_weighted_graph(
                 "cannot infer the vertex count from an empty edge list; pass n"
             )
     n = int(n)
-    if n <= 0:
-        raise ValueError(f"vertex count must be positive, got {n}")
     refuse((src >= n) | (dst >= n), "edge ({i}, {j}) has an endpoint out of range "
            f"for n={n}")
+    if n <= 0:
+        raise ValueError(f"vertex count must be positive, got {n}")
     refuse(src == dst, "self-loop ({i}, {i}) not allowed: self-mass belongs in the "
            "vertex measure, and aggregation adds the identity")
     refuse(~((wgt > 0) & (wgt < np.inf)), "edge ({i}, {j}) has weight {w!r}; edge "
@@ -310,11 +310,11 @@ def grad_inner_product(G: WeightedGraph, X, Y) -> np.ndarray:
 def derivative_energy(G: WeightedGraph, X, m: int) -> float:
     """Normalized m-th derivative energy ``(1/n) ∫ |∇^m X|² dμ``.
 
-    With ``Z = (-Δ)^{⌊m/2⌋} X``, even m sums ``μ_i |Z(i)|²`` over vertices
-    and odd m sums ``w_e |(BZ)_e|²`` over edges, which is ``∫ ∇Z·∇Z dμ``.
-    Order 0 measures the spread around the mu-weighted mean. Zero exactly
-    on constants (per component for m >= 1). An energy that overflows
-    raises ``ValueError`` rather than returning ``inf``.
+    With ``Z = Δ^{⌊m/2⌋} X`` (the sign of ``(-Δ)^{⌊m/2⌋}`` squares away),
+    even m sums ``μ_i |Z(i)|²`` over vertices and odd m sums ``w_e |(BZ)_e|²``
+    over edges, which is ``∫ ∇Z·∇Z dμ``. Order 0 measures the spread around
+    the mu-weighted mean. Zero exactly on constants (per component for
+    m >= 1). An overflowing energy raises ``ValueError``, never ``inf``.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"derivative order must be a nonnegative integer, got {m!r}")
@@ -323,7 +323,7 @@ def derivative_energy(G: WeightedGraph, X, m: int) -> float:
         mean = (G.measure @ Z) / G.measure.sum()
         return _finite_energy(G, G.measure @ _squared_row_norms(Z - mean), m)
     for _ in range(m // 2):
-        Z = -laplacian_apply(G, Z)
+        Z = laplacian_apply(G, Z)
     if m % 2 == 0:
         return _finite_energy(G, G.measure @ _squared_row_norms(Z), m)
     return _edge_energy(G, _edge_differences(G, Z), m)
@@ -482,7 +482,7 @@ def _squared_row_norms(A: np.ndarray) -> np.ndarray:
 
 def _edge_energy(G: WeightedGraph, diffs: np.ndarray, m: int) -> float:
     """Odd order-m energy ``(1/n) Σ_e w_e |(BZ)_e|²`` from ``diffs = BZ``,
-    ``Z = (-Δ)^{(m-1)/2} X``."""
+    ``Z = Δ^{(m-1)/2} X``."""
     return _finite_energy(G, G.edge_weights @ _squared_row_norms(diffs), m)
 
 

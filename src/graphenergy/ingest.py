@@ -1,7 +1,9 @@
 """File loaders, writers, and seeded synthetic graph generators.
 
 Edge lists are plain text, one edge per line as ``i j`` or ``i j w``,
-whitespace separated, 0-indexed, undirected, with ``#`` comments.
+whitespace separated, 0-indexed, undirected, with ``#`` comments. A first
+line ``# nodes N``, as ``write_edge_list`` writes, sets the vertex count to
+N (so vertices without edges survive); otherwise it is the largest index + 1.
 Features are headerless CSV, row i = node i; matrix dumps are the same
 with a single ``#`` metadata line, and both read through ``load_features``.
 
@@ -207,9 +209,11 @@ def load_edge_list(path) -> WeightedGraph:
     and any other file is read line by line. A malformed line, or an entry
     ``build_weighted_graph`` refuses, raises naming its ``path:line`` (both
     lines of a pair listed with two weights)."""
+    with open(path) as fh:  # names a missing file
+        words = fh.readline().split()
+    header = words[:2] == ["#", "nodes"] and len(words) == 3 and words[2].isdecimal()
     try:
-        # open() names a missing file; loadtxt reads a path in large chunks
-        with open(path), warnings.catch_warnings():
+        with warnings.catch_warnings():  # loadtxt reads a path in large chunks
             warnings.simplefilter("ignore", UserWarning)  # no data: refused below
             rows = np.loadtxt(path, comments="#", ndmin=2)
     except ValueError:
@@ -226,7 +230,7 @@ def load_edge_list(path) -> WeightedGraph:
     if not rows.size:
         raise ValueError(f"{path}: no edges found")
     try:
-        return build_weighted_graph(rows)
+        return build_weighted_graph(rows, n=int(words[2]) if header else None)
     except EdgeEntryError as exc:  # entry k is the k-th data line
         lines = [next(itertools.islice(_data_rows(path), k, None))[0]
                  for k in exc.entries]
@@ -240,8 +244,8 @@ def load_features(path, n: int | None = None) -> np.ndarray:
     reported with its line and column; a missing file raises
     ``FileNotFoundError`` carrying its name."""
     try:
-        with open(path) as fh:
-            arr = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        with open(path):  # names a missing file; loadtxt reads a path in chunks
+            arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError:
         for _ in _data_rows(path, ","):  # raises at the first non-numeric token
             pass

@@ -6,16 +6,16 @@ variance, with ``LAYER_NORM_EPS`` added to the variance and no affine):
 
 * ``post_ln``:  ``Y = Norm(X + MP(X))``, ``X' = Norm(Y + FFN(Y))``
 * ``pre_ln``:   ``Y = X + MP(Norm(X))``, ``X' = Y + FFN(Norm(Y))``
-* ``nonlocal_post_ln``: post_ln with MP replaced by its gated form, where
-  each head's output is scaled by ``s = ||P X - X||_F^2 / n``
+* ``nonlocal_post_ln``: post_ln with each head of MP scaled by its gate
+  ``s = ||P X - X||_F^2 / n``
 
-Message passing per head: score the edges on the current input, once per
-undirected edge, softmax over the closed neighborhood, aggregate, then map
-through the head's value matrix; heads concatenate and pass through a
-shared output matrix. The gating scalar is the squared distance of one
-aggregation step per feature count, so it vanishes exactly when features
-are constant and shrinks as smoothing proceeds; computing it costs O(nd)
-on top of the plain head.
+One head loop, ``message_passing``, serves all three: per head it scores
+the edges on the current input, once per undirected edge, takes the
+softmax over the closed neighborhood, aggregates, maps through the head's
+value matrix and, gated, scales by ``s``. Heads concatenate and pass
+through a shared output matrix. The gate is the squared distance of one
+aggregation step per vertex: it vanishes exactly on constant features,
+shrinks as smoothing proceeds, adds no parameters and costs O(nd).
 
 The forward pass is one stream of states X^0 .. X^L, with the layer
 loop and its finiteness check in one place. ``forward_trajectory`` hands
@@ -269,55 +269,40 @@ def feed_forward(X: np.ndarray, layer: LayerParams) -> np.ndarray:
     return np.maximum(hidden, 0.0, out=hidden) @ layer.ffn_w2
 
 
-def _head_operators(X, layer, G, kind):
-    for head_params in layer.attention:
-        yield attention_weighted_graph(attention_scores(kind, head_params, G, X))
-
-
 def message_passing(
     X: np.ndarray,
     layer: LayerParams,
     G: WeightedGraph,
     kind: AttentionKind,
-) -> np.ndarray:
-    """Multi-head softmax aggregation followed by the output map."""
-    parts = [
-        (P @ X) @ V
-        for P, V in zip(_head_operators(X, layer, G, kind), layer.values)
-    ]
-    joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return joined @ layer.out_weight
+    gated: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Multi-head softmax aggregation followed by the output map; returns
+    the output and, when ``gated``, the per-head multipliers (else None).
 
-
-def nonlocal_message_passing(
-    X: np.ndarray,
-    layer: LayerParams,
-    G: WeightedGraph,
-    kind: AttentionKind,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gated message passing; returns the output and per-head multipliers.
-
-    Head h is scaled by ``s_h = ||P_h X - X||_F^2 / n``, which is O(nd)
-    extra work per head on top of the aggregation itself and no extra n x d
-    array: once ``P_h X V`` is taken, ``P_h X`` is turned into the squared
-    update in place, and the head output is scaled in place.
+    Gated, head h is scaled by ``s_h = ||P_h X - X||_F^2 / n``, which is
+    O(nd) extra work per head on top of the aggregation itself and no
+    extra n x d array: once ``P_h X V`` is taken, ``P_h X`` is turned into
+    the squared update in place, and the head output is scaled in place.
     """
-    n = X.shape[0]
     parts = []
-    mults = np.empty(len(layer.values))
-    for h, (P, V) in enumerate(
-        zip(_head_operators(X, layer, G, kind), layer.values)
-    ):
+    mults = np.empty(len(layer.values)) if gated else None
+    for h, (head_params, V) in enumerate(zip(layer.attention, layer.values)):
+        P = attention_weighted_graph(attention_scores(kind, head_params, G, X))
         PX = P @ X
         head = PX @ V
-        PX -= X
-        PX *= PX
-        s = float(PX.sum()) / n
-        mults[h] = s
-        head *= s
+        if gated:
+            PX -= X
+            PX *= PX
+            mults[h] = s = float(PX.sum()) / X.shape[0]
+            head *= s
         parts.append(head)
     joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return joined @ layer.out_weight, mults
+
+
+def nonlocal_message_passing(X, layer, G, kind):
+    """Gated :func:`message_passing`, by the name ``perfbench`` traces."""
+    return message_passing(X, layer, G, kind, gated=True)
 
 
 def layer_step(
@@ -328,22 +313,17 @@ def layer_step(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One hidden layer in the configured wiring; returns the next state
     and the layer's gating multipliers (None unless gated)."""
-    kind = config.attention
-    mult = None
     if config.variant == VARIANT_PRE_LN:
-        Y = message_passing(layer_norm(X), layer, G, kind)
+        Y = message_passing(layer_norm(X), layer, G, config.attention)[0]
         Y += X
         X = feed_forward(layer_norm(Y), layer)
         X += Y
-    else:
-        if config.variant == VARIANT_NONLOCAL:
-            mp, mult = nonlocal_message_passing(X, layer, G, kind)
-        else:
-            mp = message_passing(X, layer, G, kind)
-        Y = layer_norm(np.add(mp, X, out=mp))
-        F = feed_forward(Y, layer)
-        X = layer_norm(np.add(F, Y, out=F))
-    return X, mult
+        return X, None
+    gated = config.variant == VARIANT_NONLOCAL
+    mp, mult = message_passing(X, layer, G, config.attention, gated)
+    Y = layer_norm(np.add(mp, X, out=mp))
+    F = feed_forward(Y, layer)
+    return layer_norm(np.add(F, Y, out=F)), mult
 
 
 def forward_trajectory(

@@ -96,9 +96,7 @@ def surrogate_sweep():
 # definition order, and this sub-millisecond wall-time measurement needs the
 # process before the depth sweep has churned the allocator.
 def test_criterion_10_gating_overhead_scaling():
-    from graphenergy.network import (
-        layer_step, message_passing, nonlocal_message_passing,
-    )
+    from graphenergy.network import layer_step, message_passing
 
     start = time.perf_counter()
     kind = AttentionKind(variant="san")
@@ -121,7 +119,7 @@ def test_criterion_10_gating_overhead_scaling():
             return message_passing(X, layer, G, kind)
 
         def nl():
-            return nonlocal_message_passing(X, layer, G, kind)
+            return message_passing(X, layer, G, kind, gated=True)
 
         def full_layer():
             return layer_step(X, layer, config, G)[0]

@@ -296,6 +296,11 @@ class TestLoadEdgeList:
         "negative-indices": (
             "-3 -2\n", r"1: edge \(-3, -2\) has a negative node index"),
         "self-loop": ("0 1\n2 2\n", r"2: self-loop \(2, 2\) not allowed"),
+        "header-below-endpoint": (
+            "# nodes 3\n0 1\n1 5\n",
+            r"3: edge \(1, 5\) has an endpoint out of range for n=3$"),
+        "header-zero": (
+            "# nodes 0\n0 1\n", r"2: edge \(0, 1\) has an endpoint out of range for n=0$"),
         "conflicting-weights": (
             "0 1 2.0\n1 2 1\n1 0 3.0\n",
             r"3: edge \(0, 1\) has weight 3\.0, but line 1 gave it the "
@@ -427,6 +432,15 @@ class TestRoundTrips:
         np.testing.assert_array_equal(G.indptr, H.indptr)
         np.testing.assert_array_equal(G.indices, H.indices)
         np.testing.assert_array_equal(G.weights, H.weights)
+
+    def test_isolated_vertices_survive_round_trip(self, tmp_path):
+        G = build_weighted_graph([(0, 1)], n=3)
+        f = tmp_path / "g.txt"
+        write_edge_list(f, G)
+        H = load_edge_list(f)
+        assert H.n == 3
+        np.testing.assert_array_equal(G.indptr, H.indptr)
+        np.testing.assert_array_equal(G.measure, H.measure)
 
     def test_weighted_graph_round_trip(self, tmp_path):
         G = build_weighted_graph([(0, 1, 2.5), (1, 2, 0.125)])

@@ -159,22 +159,23 @@ class TestLayerNorm:
 class TestMessagePassing:
     def test_identity_maps_give_aggregation(self, p3):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        out = message_passing(X, identity_layer(2), p3, AttentionKind("gcn"))
+        out, mults = message_passing(X, identity_layer(2), p3, AttentionKind("gcn"))
+        assert mults is None
         assert_allclose(out[:, 0], [0.5, 1.0, 1.5], rtol=1e-14)
         assert_allclose(out[:, 1], [0.5, 1.0, 1.5], rtol=1e-14)
 
     def test_two_heads_concatenate(self, p3):
         X = np.array([[0.0, 10.0], [1.0, 11.0], [2.0, 12.0]])
-        out = message_passing(X, identity_layer(2, heads=2), p3,
-                              AttentionKind("gcn"))
+        out, _ = message_passing(X, identity_layer(2, heads=2), p3,
+                                 AttentionKind("gcn"))
         assert_allclose(out[:, 0], [0.5, 1.0, 1.5], rtol=1e-14)
         assert_allclose(out[:, 1], [10.5, 11.0, 11.5], rtol=1e-14)
 
     def test_gated_multiplier_value(self, p3):
         # ramp features: ||PX - X||_F^2 = 0.5, so s = 1/6
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        out, mults = nonlocal_message_passing(X, identity_layer(2), p3,
-                                              AttentionKind("gcn"))
+        out, mults = message_passing(X, identity_layer(2), p3,
+                                     AttentionKind("gcn"), gated=True)
         assert_allclose(mults, [1.0 / 6.0], rtol=1e-12)
         assert_allclose(out[:, 0], np.array([0.5, 1.0, 1.5]) / 6.0, rtol=1e-12)
 
@@ -183,17 +184,43 @@ class TestMessagePassing:
         G, _ = random_graph(rng, 11)
         layer = identity_layer(4)
         X = rng.normal(size=(11, 4))
-        base, _ = nonlocal_message_passing(X, layer, G, AttentionKind("gcn"))
-        scaled, _ = nonlocal_message_passing(3.0 * X, layer, G,
-                                             AttentionKind("gcn"))
+        base, _ = message_passing(X, layer, G, AttentionKind("gcn"), gated=True)
+        scaled, _ = message_passing(3.0 * X, layer, G, AttentionKind("gcn"),
+                                    gated=True)
         assert_allclose(scaled, 27.0 * base, rtol=1e-10)
 
     def test_gate_vanishes_on_constants(self, p3):
         X = np.full((3, 2), 4.2)
-        out, mults = nonlocal_message_passing(X, identity_layer(2), p3,
-                                              AttentionKind("gcn"))
+        out, mults = message_passing(X, identity_layer(2), p3,
+                                     AttentionKind("gcn"), gated=True)
         assert mults[0] <= 1e-28
         assert_allclose(out, 0.0, atol=1e-13)
+
+    @staticmethod
+    def _two_san_heads():
+        """A drawn two-head san layer with an identity output map, so
+        output columns 0-3 are head 0 and 4-7 head 1."""
+        rng = np.random.default_rng(23)
+        G, _ = random_graph(rng, 12)
+        cfg = ModelConfig(input_dim=8, output_dim=2, depth=1, hidden_dim=8,
+                          heads=2, attention=AttentionKind("san"))
+        layer = dataclasses.replace(init_model(cfg).layers[0], out_weight=np.eye(8))
+        return rng.normal(size=(12, 8)), layer, G, cfg.attention
+
+    def test_gated_heads_are_plain_heads_scaled(self):
+        X, layer, G, kind = self._two_san_heads()
+        plain, none = message_passing(X, layer, G, kind)
+        gated, mults = message_passing(X, layer, G, kind, gated=True)
+        assert none is None and mults.shape == (2,) and np.all(mults > 0)
+        expected = np.concatenate([plain[:, :4] * mults[0], plain[:, 4:] * mults[1]],
+                                  axis=1)
+        assert np.array_equal(gated, expected)
+
+    def test_nonlocal_alias_is_the_gated_call(self):
+        X, layer, G, kind = self._two_san_heads()
+        out, mults = nonlocal_message_passing(X, layer, G, kind)
+        ref_out, ref_mults = message_passing(X, layer, G, kind, gated=True)
+        assert np.array_equal(out, ref_out) and np.array_equal(mults, ref_mults)
 
 
 class TestForward:
@@ -267,7 +294,7 @@ class TestForward:
         # norm/FFN pipeline with a zero message branch
         layer = identity_layer(4)
         X = np.full((3, 4), 2.0)
-        mp, mults = nonlocal_message_passing(X, layer, p3, AttentionKind("gcn"))
+        mp, mults = message_passing(X, layer, p3, AttentionKind("gcn"), gated=True)
         assert mults.max() <= 1e-28
         Y = layer_norm(X + mp)
         manual = layer_norm(Y + feed_forward(Y, layer))
