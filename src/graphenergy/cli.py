@@ -18,6 +18,7 @@ import contextlib
 import ctypes
 import glob
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 
@@ -249,6 +250,18 @@ def _expand_config(argv: list[str]) -> list[str]:
     return head[:insert_at] + tokens + head[insert_at:] + tail
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -1,2`` as ``--flag=-1,2``: argparse takes ``-1,2`` for
+    an option, and every option here is a ``--long`` flag."""
+    joined = argv[:1]
+    for token in argv[1:]:
+        if re.match(r"-\d", token) and re.fullmatch(r"--[\w-]+", joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 # ----------------------------------------------------------- subcommands
 
 
@@ -448,10 +461,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        G = generate_graph(_synthetic_spec_from_args(args))
-    except RuntimeError as exc:
-        raise SystemExit(f"graphenergy: {exc}") from None
+    G, _ = _resolve_graph(args)
     write_edge_list(args.out, G)
     stats = dataset_stats(G)
     print(
@@ -581,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a synthetic graph to an edge list")
     _add_graph_source(p, edges=False)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, edges=None)
 
     p = sub.add_parser("stats", help="dataset summary counts")
     _add_graph_source(p)
@@ -643,7 +653,7 @@ def _one_blas_thread():
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_expand_config(argv))
+        args = build_parser().parse_args(_join_dash_values(_expand_config(argv)))
         with _one_blas_thread():
             return args.func(args)
     except (FileNotFoundError, NotADirectoryError) as exc:

@@ -111,25 +111,14 @@ def generate_graph(spec: SyntheticSpec) -> WeightedGraph:
     """Build the graph a spec describes: unit weights, degree-plus-one
     measure. Random kinds raise RuntimeError when the retry budget runs
     out without hitting a connected sample."""
-    if spec.kind == KIND_PATH:
-        n = spec.size
-        edges = [(i, i + 1) for i in range(n - 1)]
-        return build_weighted_graph(edges, n=n)
-    if spec.kind == KIND_RING:
-        n = spec.size
-        edges = [(i, (i + 1) % n) for i in range(n)]
-        return build_weighted_graph(edges, n=n)
-    if spec.kind == KIND_GRID:
-        rows, cols = spec.shape
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                node = r * cols + c
-                if c + 1 < cols:
-                    edges.append((node, node + 1))
-                if r + 1 < rows:
-                    edges.append((node, node + cols))
-        return build_weighted_graph(edges, n=rows * cols)
+    if spec.kind in (KIND_PATH, KIND_RING, KIND_GRID):  # a path is a one-row grid
+        rows, cols = spec.shape if spec.kind == KIND_GRID else (1, spec.size)
+        node = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+        ends = [(node[:, :-1], node[:, 1:]), (node[:-1], node[1:])]  # right, down
+        if spec.kind == KIND_RING:
+            ends.append((node[:, -1], node[:, 0]))  # the edge that closes the path
+        edges = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in ends])
+        return build_weighted_graph(edges, n=node.size)
 
     rng = np.random.default_rng(spec.seed)
     if spec.kind == KIND_ER:

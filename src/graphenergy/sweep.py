@@ -182,7 +182,8 @@ def run_sweep(
     meta = _sweep_meta(G, spec)
     config_hash = _config_hash(meta)
     units = [(variant, seed) for variant in spec.variants for seed in spec.seeds]
-    packed = [(G, X, spec, unit, out_dir, config_hash) for unit in units]
+    canonical = canonical_energy_graph(G)
+    packed = [(G, canonical, X, spec, unit, out_dir, config_hash) for unit in units]
     cells = {}
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -224,14 +225,14 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     seconds spent measuring, the most unit-row forms held at once, and
     how many states were produced.
 
-    Each state's energy is measured, and with ``dump_states`` its file
-    written into every depth that reaches it, on a second thread while the
-    forward pass computes the next layers. Measurements run in order, and
-    the forward pass hands over state k only once state k-2 is measured,
-    so at most two states are in flight. No state is kept. The cosine
-    matrices come from one :class:`CosineGram` over every depth's
-    subsample, so the unit-row forms held are bounded by the subsample
-    cap per depth, however deep.
+    Each state's energy on ``canonical`` is measured, and with
+    ``dump_states`` its file written once and copied into every other depth
+    that reaches it, on a second thread while the forward pass computes the
+    next layers. Measurements run in order, and the forward pass hands over
+    state k only once state k-2 is measured, so at most two states are in
+    flight. No state is kept. The cosine matrices come from one
+    :class:`CosineGram` over every depth's subsample, so the unit-row forms
+    held are bounded by the subsample cap per depth, however deep.
 
     A non-finite layer k fails only the depths that reach it; the k
     energies measured before it still serve every shallower depth, and a
@@ -239,7 +240,7 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     failure fails every depth; a failed measurement also stops the forward
     pass, and the earliest failure in state order is the one reported.
     """
-    G, X, spec, (variant, seed), out_dir, config_hash = packed
+    G, canonical, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
     cfg = replace(spec.model_configs[variant], seed=seed)
     gram = CosineGram(
@@ -250,7 +251,8 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
         depth: os.path.join(_job_dir(out_dir, variant, depth, seed), "states")
         for depth in spec.depths
     } if out_dir is not None and spec.dump_states else {}
-    canonical = canonical_energy_graph(G)
+    for states_dir in dumps.values():
+        ensure_directory(states_dir)
     energies = []
     busy = 0.0
 
@@ -259,15 +261,13 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
         begin = time.perf_counter()
         energies.append(derivative_energy(canonical, state, spec.energy_order))
         gram.add(k, state)
-        for depth, states_dir in dumps.items():
-            if k == 0:
-                ensure_directory(states_dir)
-            if k <= depth:
-                write_matrix(
-                    os.path.join(states_dir, f"layer-{k:03d}.csv"),
-                    state,
-                    provenance=f"config-hash={config_hash} seed={seed} layer={k}",
-                )
+        paths = [os.path.join(states_dir, f"layer-{k:03d}.csv")
+                 for depth, states_dir in dumps.items() if k <= depth]
+        if paths:  # the text does not depend on the depth
+            write_matrix(paths[0], state,
+                         provenance=f"config-hash={config_hash} seed={seed} layer={k}")
+            for path in paths[1:]:
+                shutil.copyfile(paths[0], path)
         busy += time.perf_counter() - begin
 
     failure, reached = None, cfg.depth + 1

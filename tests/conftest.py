@@ -220,6 +220,27 @@ def triu_sample(spec) -> tuple[WeightedGraph, int]:
     raise RuntimeError("no connected sample")
 
 
+def lattice_loops(spec) -> WeightedGraph:
+    """Path, ring or grid2d graph of ``spec``, built edge by edge in
+    Python loops. Test oracle for the index-array construction."""
+    if spec.kind == "path":
+        n = spec.size
+        return build_weighted_graph([(i, i + 1) for i in range(n - 1)], n=n)
+    if spec.kind == "ring":
+        n = spec.size
+        return build_weighted_graph([(i, (i + 1) % n) for i in range(n)], n=n)
+    rows, cols = spec.shape
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            node = r * cols + c
+            if c + 1 < cols:
+                edges.append((node, node + 1))
+            if r + 1 < rows:
+                edges.append((node, node + cols))
+    return build_weighted_graph(edges, n=rows * cols)
+
+
 def rk4_reference(G, X0, rhs, dt: float, horizon: float):
     """Classical fixed-step Runge-Kutta. Test oracle only.
 

@@ -371,6 +371,40 @@ class TestSweepPrefixes:
         err = capsys.readouterr().err
         assert "post_ln seed 0 depths 2,5,8: failed at depths 5,8" in err
 
+    def test_each_dumped_state_is_formatted_once(self, graph, tmp_path, monkeypatch):
+        spec = replace(self.SPEC, depths=(2, 8, 16), variants=("post_ln",),
+                       seeds=(0,), dump_states=True)
+        real, formatted = sweep.write_matrix, []
+
+        def counted(path, M, provenance=""):
+            formatted.append(path)
+            real(path, M, provenance)
+
+        monkeypatch.setattr(sweep, "write_matrix", counted)
+        assert run_sweep(graph, spec, out_dir=str(tmp_path)).all_ok
+        assert len(formatted) == 17  # states X^0..X^16, not one file a depth
+        files = read_file_map(tmp_path)
+        for depth in (2, 8):
+            for k in range(depth + 1):
+                name = os.path.join("post_ln", "{}", "seed-00", "states",
+                                    f"layer-{k:03d}.csv")
+                assert files[name.format(f"depth-{depth:03d}")] == files[
+                    name.format("depth-016")]
+
+    def test_canonical_graph_is_built_once(self, tmp_path, monkeypatch):
+        edges = tmp_path / "weighted.txt"
+        edges.write_text("0 1 2.0\n1 2 0.5\n2 0 1.5\n2 3 1.0\n")
+        spec = replace(self.SPEC, depths=(2,), variants=("post_ln", "pre_ln"))
+        real, built = sweep.canonical_energy_graph, []
+
+        def counted(G):
+            built.append(G)
+            return real(G)
+
+        monkeypatch.setattr(sweep, "canonical_energy_graph", counted)
+        assert run_sweep(load_edge_list(str(edges)), spec).all_ok
+        assert len(built) == 1  # not one per (variant, seed)
+
     def test_worker_pool_matches_serial(self, tmp_path, capsys):
         spec = self.SPEC
         argv = [
@@ -998,17 +1032,37 @@ class TestListEntriesAndSeeds:
         code, _ = self.refused(tmp_path, monkeypatch, capsys, argv)
         assert code == "bad sweep arguments: repeated variant 'post_ln'"
 
-    @pytest.mark.parametrize("command, flag", [
-        ("sweep", "--seeds"), ("sweep", "--feature-seed"), ("sweep", "--graph-seed"),
-        ("flow", "--feature-seed"), ("flow", "--graph-seed"),
-        ("prune", "--seeds"), ("prune", "--feature-seed"), ("prune", "--graph-seed"),
-        ("gen", "--graph-seed"), ("stats", "--graph-seed"),
+    @pytest.mark.parametrize("command, flag, value, config", [
+        *[pytest.param(command, flag, "-1", False, id=f"{command}-{flag}")
+          for command, flag in [
+              ("sweep", "--seeds"), ("sweep", "--feature-seed"), ("sweep", "--graph-seed"),
+              ("flow", "--feature-seed"), ("flow", "--graph-seed"),
+              ("prune", "--seeds"), ("prune", "--feature-seed"), ("prune", "--graph-seed"),
+              ("gen", "--graph-seed"), ("stats", "--graph-seed"),
+          ]],
+        # a value that is not a plain number, on the command line or from --config
+        *[pytest.param(command, flag, value, config,
+                       id=f"{command}-{flag}-{value}" + ("-config" if config else ""))
+          for command, flag, value in [
+              ("sweep", "--seeds", "-1,2"), ("sweep", "--depths", "-2,4"),
+              ("prune", "--seeds", "-1,2"), ("prune", "--layers", "-3,4"),
+          ]
+          for config in (False, True)],
     ])
-    def test_negative_seed(self, tmp_path, monkeypatch, capsys, command, flag):
+    def test_negative_seed(
+        self, tmp_path, monkeypatch, capsys, command, flag, value, config
+    ):
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            tail = ["--config", str(cfg)]
+        else:
+            tail = [flag, value]
         code, err = self.refused(tmp_path, monkeypatch, capsys,
-                                 self.RUNS[command] + [flag, "-1"])
+                                 self.RUNS[command] + tail)
         assert code == 2 and err == [
-            f"graphenergy {command}: error: argument {flag}: must be nonnegative, got -1"
+            f"graphenergy {command}: error: argument {flag}: must be nonnegative, "
+            f"got {value.split(',')[0]}"
         ]
 
     @pytest.mark.parametrize("fields, message", [

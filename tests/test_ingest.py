@@ -22,7 +22,7 @@ from graphenergy.ingest import (
 )
 from graphenergy.sweep import _graph_digest
 
-from conftest import neighbors, traced_peak, triu_sample
+from conftest import lattice_loops, neighbors, traced_peak, triu_sample
 
 
 class TestSyntheticSpec:
@@ -109,6 +109,14 @@ class TestGenerate:
         path = generate_graph(SyntheticSpec(kind="path", size=5))
         np.testing.assert_array_equal(grid.indptr, path.indptr)
         np.testing.assert_array_equal(grid.indices, path.indices)
+
+    @pytest.mark.parametrize("spec", [
+        *(SyntheticSpec(kind="path", size=n) for n in (1, 2, 7)),
+        *(SyntheticSpec(kind="ring", size=n) for n in (3, 4, 9)),
+        *(SyntheticSpec(kind="grid2d", shape=s) for s in [(1, 1), (1, 5), (5, 1), (3, 4)]),
+    ], ids=lambda s: f"{s.kind}-{s.size or 'x'.join(map(str, s.shape))}")
+    def test_lattice_matches_loop_oracle(self, spec):
+        assert _same_graph(generate_graph(spec), lattice_loops(spec))
 
     def test_er_is_deterministic_and_connected(self):
         spec = SyntheticSpec(kind="erdos-renyi", size=30, edge_prob=0.2, seed=7)
