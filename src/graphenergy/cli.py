@@ -8,7 +8,9 @@ re-running a command with the same inputs reproduces every byte.
 
 Subcommands write one CSV per series (``index,value`` rows) and one JSON
 per structured report, in a ``variant/depth-XXX/seed-YY`` layout for
-sweeps.
+sweeps. ``sweep --dump-states`` saves each state once, as
+``variant/seed-YY/states/layer-KKK.npy``, and ``similarity`` reads such a
+directory.
 """
 
 from __future__ import annotations
@@ -103,10 +105,11 @@ def surrogate_spec(seed: int = 0) -> SyntheticSpec:
 
 def _read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Two-column series reader tolerating '#' comments and one optional
-    column-name row."""
+    column-name row. Every refusal names the file, and a later
+    non-numeric row its ``path:line``."""
     rows = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -115,10 +118,12 @@ def _read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 rows.append([float(t) for t in tokens[:2]])
             except ValueError:
                 if rows:
-                    raise ValueError(f"non-numeric row {raw.strip()!r}") from None
+                    raise ValueError(
+                        f"{path}:{lineno}: non-numeric row {raw.strip()!r}"
+                    ) from None
                 continue  # header row
     if not rows or any(len(r) < 2 for r in rows):
-        raise ValueError("expected two numeric columns")
+        raise ValueError(f"{path}: expected two numeric columns")
     data = np.asarray(rows)
     return data[:, 0], data[:, 1]
 
@@ -498,6 +503,9 @@ def cmd_fit(args) -> int:
             ) from None
     try:
         indices, values = _read_series_csv(args.series)
+    except ValueError as exc:
+        raise SystemExit(f"graphenergy: {exc}") from None
+    try:
         fit = fit_decay(EnergySeries(indices=indices, values=values), window=window)
     except ValueError as exc:
         raise SystemExit(f"graphenergy: {args.series}: {exc}") from None
@@ -518,10 +526,10 @@ def cmd_similarity(args) -> int:
     names = sorted(
         name
         for name in os.listdir(args.states)
-        if name.startswith("layer-") and name.endswith(".csv")
+        if name.startswith("layer-") and name.endswith(".npy")
     )
     if not names:
-        raise SystemExit(f"{args.states}: no layer-*.csv files")
+        raise SystemExit(f"{args.states}: no layer-*.npy files")
     states = []
     for name in names:
         path = os.path.join(args.states, name)
@@ -605,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("similarity", help="cosine matrix of dumped states")
-    p.add_argument("--states", required=True, help="directory of layer-*.csv")
+    p.add_argument("--states", required=True,
+                   help="directory of layer-*.npy, as sweep --dump-states writes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_similarity)
 

@@ -46,7 +46,8 @@ class EnergySeries:
     """Smoothness energy of each recorded state.
 
     ``indices`` are layer numbers or time stamps, strictly increasing;
-    ``values`` are the nonnegative energies measured at them.
+    ``values`` are the nonnegative energies measured at them. Both are
+    finite: a NaN or infinity is refused at its position.
     """
 
     indices: np.ndarray
@@ -59,6 +60,11 @@ class EnergySeries:
             raise ValueError("indices and values must be 1-d and aligned")
         if idx.size == 0:
             raise ValueError("empty series")
+        bad = np.flatnonzero(~np.isfinite(idx) | ~np.isfinite(val))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"non-finite entry at position {i}: "
+                             f"index {float(idx[i])!r}, value {float(val[i])!r}")
         if not (np.diff(idx) > 0).all():
             raise ValueError("indices must be strictly increasing")
         if (val < 0).any():

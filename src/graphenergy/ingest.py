@@ -4,8 +4,8 @@ Edge lists are plain text, one edge per line as ``i j`` or ``i j w``,
 whitespace separated, 0-indexed, undirected, with ``#`` comments. A first
 line ``# nodes N``, as ``write_edge_list`` writes, sets the vertex count to
 N (so vertices without edges survive); otherwise it is the largest index + 1.
-Features are headerless CSV, row i = node i; matrix dumps are the same
-with a single ``#`` metadata line, and both read through ``load_features``.
+Features are headerless CSV, row i = node i, or a 2-D ``.npy`` array, as
+``sweep --dump-states`` saves each state; ``load_features`` reads both.
 
 Generators use numpy's seeded PCG64 stream, so identical specs
 reproduce identical graphs across runs and platforms.
@@ -228,17 +228,28 @@ def load_edge_list(path) -> WeightedGraph:
 
 
 def load_features(path, n: int | None = None) -> np.ndarray:
-    """Read a headerless CSV table, such as features or a state dump,
-    and check it has n rows when n is given. A non-numeric token is
-    reported with its line and column; a missing file raises
-    ``FileNotFoundError`` carrying its name."""
-    try:
-        with open(path):  # names a missing file; loadtxt reads a path in chunks
-            arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError:
-        for _ in _data_rows(path, ","):  # raises at the first non-numeric token
-            pass
-        raise ValueError(f"{path}: failed to parse as a numeric table") from None
+    """Read a feature table, from a headerless CSV file or, by its
+    ``.npy`` suffix, a 2-D numeric array such as a dumped state, and check
+    it has n rows when n is given. A non-numeric CSV token is reported
+    with its line and column, and every refusal names the file; a missing
+    file raises ``FileNotFoundError`` carrying its name."""
+    if str(path).endswith(".npy"):
+        try:
+            arr = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:  # pickled, truncated or not .npy
+            raise ValueError(f"{path}: {exc}") from None
+        if arr.ndim != 2 or arr.dtype.kind not in "iuf":
+            raise ValueError(f"{path}: expected a 2-D numeric array, "
+                             f"found a {arr.ndim}-D {arr.dtype} array")
+        arr = arr.astype(float, copy=False)
+    else:
+        try:
+            with open(path):  # names a missing file; loadtxt reads a path in chunks
+                arr = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            for _ in _data_rows(path, ","):  # raises at the first non-numeric token
+                pass
+            raise ValueError(f"{path}: failed to parse as a numeric table") from None
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"{path}: expected {n} rows, found {arr.shape[0]}")
     return arr
@@ -262,13 +273,6 @@ def write_edge_list(path, G: WeightedGraph) -> None:
         fh.write(f"# nodes {G.n}\n")
         for i, j, w in zip(*G.edge_ends, G.edge_weights):
             fh.write(f"{i} {j} {float(w)!r}\n" if weighted else f"{i} {j}\n")
-
-
-def write_matrix(path, M: np.ndarray, provenance: str = "") -> None:
-    """CSV dump with a one-line '#' header recording shape and origin."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    header = f"shape={M.shape[0]}x{M.shape[1]} provenance={provenance}"
-    np.savetxt(path, M, delimiter=",", header=header)
 
 
 def _data_rows(path, sep: str | None = None):

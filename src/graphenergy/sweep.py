@@ -3,7 +3,10 @@
 ``run_sweep`` forwards each (variant, seed) once at the deepest depth and
 measures every depth's prefix: energies, decay fits, stall verdicts and
 cosine matrices, written per cell in a ``variant/depth-XXX/seed-YY``
-layout under one ``summary.json``. The output helpers give every
+layout under one ``summary.json``. With ``dump_states`` each state is
+saved once, as ``variant/seed-YY/states/layer-KKK.npy`` beside one
+``states.json``; a depth-d cell's states are layers 0..d of its
+(variant, seed). The output helpers give every
 command's files their provenance: the seed, a hash of the producing
 configuration, the package version and the measurement convention.
 """
@@ -42,7 +45,6 @@ from graphenergy.ingest import (
     check_feature_scale,
     ensure_directory,
     random_features,
-    write_matrix,
 )
 from graphenergy.network import (
     MODEL_VARIANTS,
@@ -226,8 +228,8 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     how many states were produced.
 
     Each state's energy on ``canonical`` is measured, and with
-    ``dump_states`` its file written once and copied into every other depth
-    that reaches it, on a second thread while the forward pass computes the
+    ``dump_states`` the state saved once into the unit's ``states``
+    directory, on a second thread while the forward pass computes the
     next layers. Measurements run in order, and the forward pass hands over
     state k only once state k-2 is measured, so at most two states are in
     flight. No state is kept. The cosine matrices come from one
@@ -239,6 +241,8 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     failed depth's directory holds only its ``report.json``. Any other
     failure fails every depth; a failed measurement also stops the forward
     pass, and the earliest failure in state order is the one reported.
+    Either way the states saved before the failure stay, and
+    ``states.json`` counts them.
     """
     G, canonical, X, spec, (variant, seed), out_dir, config_hash = packed
     start = time.perf_counter()
@@ -247,27 +251,25 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
         [_subsample(depth + 1, COSINE_LAYER_CAP) for depth in spec.depths]
         if spec.write_cosine else []
     )
-    dumps = {
-        depth: os.path.join(_job_dir(out_dir, variant, depth, seed), "states")
-        for depth in spec.depths
-    } if out_dir is not None and spec.dump_states else {}
-    for states_dir in dumps.values():
+    states_dir = None
+    if out_dir is not None and spec.dump_states:
+        states_dir = os.path.join(out_dir, variant, f"seed-{seed:02d}", "states")
+        if os.path.isdir(states_dir):  # keep no layer of an earlier run
+            shutil.rmtree(states_dir)
         ensure_directory(states_dir)
     energies = []
-    busy = 0.0
+    busy, measured = 0.0, 0
 
     def measure(k, state):
-        nonlocal busy
+        nonlocal busy, measured
+        if measured < k:  # an earlier measurement failed
+            return
         begin = time.perf_counter()
         energies.append(derivative_energy(canonical, state, spec.energy_order))
         gram.add(k, state)
-        paths = [os.path.join(states_dir, f"layer-{k:03d}.csv")
-                 for depth, states_dir in dumps.items() if k <= depth]
-        if paths:  # the text does not depend on the depth
-            write_matrix(paths[0], state,
-                         provenance=f"config-hash={config_hash} seed={seed} layer={k}")
-            for path in paths[1:]:
-                shutil.copyfile(paths[0], path)
+        if states_dir is not None:
+            np.save(os.path.join(states_dir, f"layer-{k:03d}.npy"), state)
+        measured += 1
         busy += time.perf_counter() - begin
 
     failure, reached = None, cfg.depth + 1
@@ -291,6 +293,9 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
         failed = [f.exception() for f in in_flight if f.exception() is not None]
         if failed:
             failure, reached = failed[0], 0
+    if states_dir is not None:
+        _write_json(os.path.join(states_dir, "states.json"),
+                    {"variant": variant, "states": measured}, config_hash, seed)
 
     jobs = []
     for depth in spec.depths:
@@ -316,8 +321,6 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
                 layer=exc.layer if isinstance(exc, NonFiniteLayerError) else None,
             )
             changes = None
-            if depth in dumps and os.path.isdir(dumps[depth]):
-                shutil.rmtree(dumps[depth])
         else:
             job = SweepJob(
                 variant=variant,
@@ -335,15 +338,12 @@ def _run_trajectory(packed) -> tuple[list[SweepJob], float, float, int, int]:
     return jobs, time.perf_counter() - start, busy, gram.peak, reached
 
 
-def _job_dir(out_dir: str, variant: str, depth: int, seed: int) -> str:
-    return os.path.join(out_dir, variant, f"depth-{depth:03d}", f"seed-{seed:02d}")
-
-
 def _write_job_files(
     out_dir, job: SweepJob, gram: CosineGram, changes, spec: SweepSpec, config_hash
 ) -> None:
     """Write one cell's files; a failed cell gets only its ``report.json``."""
-    directory = _job_dir(out_dir, job.variant, job.depth, job.seed)
+    directory = os.path.join(out_dir, job.variant, f"depth-{job.depth:03d}",
+                             f"seed-{job.seed:02d}")
     ensure_directory(directory)
     report_path = os.path.join(directory, "report.json")
     if not job.ok:

@@ -26,7 +26,6 @@ from graphenergy.ingest import (
     generate_graph,
     load_edge_list,
     random_features,
-    write_matrix,
 )
 from graphenergy.network import ModelConfig, init_model
 from graphenergy.sweep import SweepSpec, run_sweep
@@ -232,14 +231,22 @@ class TestSweep:
     def test_dump_states_and_similarity(self, tmp_path):
         args = self.sweep_args(tmp_path, "run") + ["--dump-states"]
         assert main(args) == 0
-        states = tmp_path / "run" / "post_ln" / "depth-002" / "seed-00" / "states"
+        states = tmp_path / "run" / "post_ln" / "seed-00" / "states"
         names = sorted(os.listdir(states))
-        assert names == ["layer-000.csv", "layer-001.csv", "layer-002.csv"]
+        assert names == [f"layer-{k:03d}.npy" for k in range(5)] + ["states.json"]
+        record = json.loads((states / "states.json").read_text())
+        assert (record["variant"], record["states"], record["seed"]) == ("post_ln", 5, 0)
+        assert not list((tmp_path / "run" / "post_ln" / "depth-002").rglob("states"))
         out = tmp_path / "cosine.csv"
         assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
         matrix = np.loadtxt(out, delimiter=",", skiprows=3)
-        assert matrix.shape == (3, 3)
+        assert matrix.shape == (5, 5)
         np.testing.assert_allclose(np.diag(matrix), 1.0, atol=1e-12)
+        # a shallower rerun into the same directory leaves no deeper layer
+        rerun = self.sweep_args(tmp_path, "run") + ["--dump-states", "--depths", "2"]
+        assert main(rerun) == 0
+        assert sorted(os.listdir(states)) == [
+            f"layer-{k:03d}.npy" for k in range(3)] + ["states.json"]
 
     def test_invalid_depths(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -350,9 +357,17 @@ class TestSweepPrefixes:
         clean_files = read_file_map(tmp_path / "clean")
         bad_files = read_file_map(tmp_path / "bad")
         shallow = [k for k in clean_files if os.sep + "depth-002" + os.sep in k]
-        assert len(shallow) == 6 * (4 + 3 * dump_states)  # states X^0..X^2
+        assert len(shallow) == 6 * 4
         for key in shallow:
             assert bad_files[key] == clean_files[key], key
+        # each unit keeps the states X^0..X^4 saved before layer 5 failed
+        saved = [k for k in bad_files if os.sep + "states" + os.sep in k]
+        assert len(saved) == 6 * (5 + 1) * dump_states
+        for key in saved:
+            if key.endswith(".npy"):
+                assert int(key[-7:-4]) < 5 and bad_files[key] == clean_files[key], key
+            else:
+                assert json.loads(bad_files[key])["states"] == 5, key
         for v in self.SPEC.variants:
             for d in (5, 8):
                 for s in (0, 1):
@@ -371,25 +386,25 @@ class TestSweepPrefixes:
         err = capsys.readouterr().err
         assert "post_ln seed 0 depths 2,5,8: failed at depths 5,8" in err
 
-    def test_each_dumped_state_is_formatted_once(self, graph, tmp_path, monkeypatch):
+    def test_each_dumped_state_is_saved_once(self, graph, tmp_path, monkeypatch):
         spec = replace(self.SPEC, depths=(2, 8, 16), variants=("post_ln",),
                        seeds=(0,), dump_states=True)
-        real, formatted = sweep.write_matrix, []
+        real, saved = np.save, []
 
-        def counted(path, M, provenance=""):
-            formatted.append(path)
-            real(path, M, provenance)
+        def counted(path, arr):
+            saved.append(path)
+            real(path, arr)
 
-        monkeypatch.setattr(sweep, "write_matrix", counted)
+        monkeypatch.setattr(np, "save", counted)
         assert run_sweep(graph, spec, out_dir=str(tmp_path)).all_ok
-        assert len(formatted) == 17  # states X^0..X^16, not one file a depth
-        files = read_file_map(tmp_path)
-        for depth in (2, 8):
-            for k in range(depth + 1):
-                name = os.path.join("post_ln", "{}", "seed-00", "states",
-                                    f"layer-{k:03d}.csv")
-                assert files[name.format(f"depth-{depth:03d}")] == files[
-                    name.format("depth-016")]
+        states = tmp_path / "post_ln" / "seed-00" / "states"
+        # states X^0..X^16 once each, not one file a depth
+        assert saved == [str(states / f"layer-{k:03d}.npy") for k in range(17)]
+        cfg = replace(spec.model_configs["post_ln"], seed=0)
+        X = random_features(graph.n, spec.input_dim, seed=spec.feature_seed)
+        for k, state in enumerate(stack_states(init_model(cfg), cfg, graph, X)[1]):
+            assert np.load(saved[k]).tobytes() == state.tobytes()
+        assert json.loads((states / "states.json").read_text())["states"] == 17
 
     def test_canonical_graph_is_built_once(self, tmp_path, monkeypatch):
         edges = tmp_path / "weighted.txt"
@@ -448,7 +463,11 @@ class TestSweepPrefixes:
             for d in (2, 5, 8)
         ]
         assert bad <= len(steps) <= min(bad + 2, 8)  # two layers past it at most
-        assert not [d for d, dirs, _ in os.walk(tmp_path) if "states" in dirs]
+        assert len(calls) == bad + 1  # no state is measured after a failed one
+        states = tmp_path / "post_ln" / "seed-00" / "states"
+        assert sorted(os.listdir(states)) == [
+            f"layer-{k:03d}.npy" for k in range(bad)] + ["states.json"]
+        assert json.loads((states / "states.json").read_text())["states"] == bad
 
     def test_at_most_two_states_in_flight(self, graph, monkeypatch, capsys):
         spec = replace(self.SPEC, variants=("post_ln",), seeds=(0,))
@@ -517,17 +536,22 @@ class TestSweepCosine:
         return csv_columns(path)[1]
 
     def test_similarity_of_dumped_states_is_the_cell_matrix(self, graph, tmp_path):
-        # up to depth 16 a cell's cosine subsample is every layer
-        spec = replace(self.SPEC, depths=(2, 16), dump_states=True)
+        # Up to depth 16 a cell's cosine subsample is every layer, so a
+        # depth-d cell's matrix is the top-left (d + 1) x (d + 1) block of the
+        # unit's; depth 40 reads every fourth row and column.
+        spec = replace(self.SPEC, depths=(2, 16, 40), dump_states=True)
         assert run_sweep(graph, spec, out_dir=str(tmp_path)).all_ok
+        out = tmp_path / "similarity.csv"
+        states = tmp_path / "post_ln" / "seed-00" / "states"
+        assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
+        full = csv_columns(out)[1]
+        assert len(full) == 41
         for depth in spec.depths:
-            cell = tmp_path / "post_ln" / f"depth-{depth:03d}" / "seed-00"
-            out = tmp_path / f"similarity-{depth}.csv"
-            argv = ["similarity", "--states", str(cell / "states"), "--out", str(out)]
-            assert main(argv) == 0
-            written = (cell / "cosine.csv").read_text().splitlines()
-            assert len(written) == 4 + depth + 1
-            assert out.read_text().splitlines()[3:] == written[4:]
+            keep = sweep._subsample(depth + 1, sweep.COSINE_LAYER_CAP)
+            if depth <= 16:
+                assert keep == list(range(depth + 1))
+            assert self.written_rows(tmp_path, depth) == [
+                [full[r][c] for c in keep] for r in keep]
 
     @pytest.mark.parametrize("zero_row", [False, True])
     def test_matrices_match_unit_row_gram(
@@ -984,8 +1008,8 @@ class TestConfigHash:
         for name, second in (("a", 2 * X), ("b", X[::-1])):
             states = tmp_path / name
             states.mkdir()
-            write_matrix(states / "layer-000.csv", X)
-            write_matrix(states / "layer-001.csv", second)
+            np.save(states / "layer-000.npy", X)
+            np.save(states / "layer-001.npy", second)
             out = tmp_path / f"{name}.csv"
             assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
             hashes.append(out.read_text().split()[1])  # "config-hash=..."
@@ -1107,9 +1131,10 @@ class TestFit:
             main(["fit", "--series", str(f), "--window", "oops"])
 
     @pytest.mark.parametrize("rows, window, named", [
-        ([f"{k},{2.0 ** -k}" for k in range(8)], "3:1", "window lo exceeds hi"),
-        (["0,1", "1,0.5", "2,0.25"], "auto", "need at least five positive points"),
-        (["0,1", "1,0.5", "2,half"], "auto", "non-numeric row '2,half'"),
+        ([f"{k},{2.0 ** -k}" for k in range(8)], "3:1", ": window lo exceeds hi"),
+        (["0,1", "1,0.5", "2,0.25"], "auto", ": need at least five positive points"),
+        (["# energies", "0,1", "1,0.5", "2,half"], "auto",
+         ":4: non-numeric row '2,half'"),  # the path, then the line
     ], ids=["reversed-window", "three-points", "non-numeric-row"])
     def test_unfittable_series_exits_with_one_line(self, tmp_path, rows, window, named):
         f = tmp_path / "series.csv"
@@ -1117,8 +1142,25 @@ class TestFit:
         with pytest.raises(SystemExit) as exit_info:
             main(["fit", "--series", str(f), "--window", window])
         message = str(exit_info.value.code)
-        assert message.startswith(f"graphenergy: {f}: ") and named in message
+        assert message.startswith(f"graphenergy: {f}{named}")
         assert "\n" not in message
+
+    @pytest.mark.parametrize("row, named", [
+        ("5,nan", "position 5: index 5.0, value nan"),
+        ("5,inf", "position 5: index 5.0, value inf"),
+        ("inf,0.03125", "position 5: index inf, value 0.03125"),
+    ], ids=["nan-value", "inf-value", "inf-index"])
+    def test_nonfinite_series_entry_exits_naming_it(self, tmp_path, capsys, row, named):
+        rows = [f"{k},{2.0 ** -k!r}" for k in range(12)]
+        rows[5] = row
+        f = tmp_path / "series.csv"
+        f.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "fit.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--series", str(f), "--out", str(out)])
+        assert exit_info.value.code == (
+            f"graphenergy: {f}: non-finite entry at {named}")
+        assert not out.exists() and capsys.readouterr().out == ""
 
 
 class TestMissingFile:
@@ -1262,32 +1304,50 @@ class TestSimilarityErrors:
     def test_states_of_different_shapes(self, tmp_path):
         states = tmp_path / "states"
         states.mkdir()
-        write_matrix(states / "layer-000.csv", np.ones((2, 2)))
-        write_matrix(states / "layer-001.csv", np.ones((3, 2)))
+        np.save(states / "layer-000.npy", np.ones((2, 2)))
+        np.save(states / "layer-001.npy", np.ones((3, 2)))
         assert self.exit_line(tmp_path, states) == (
-            f"graphenergy: {states / 'layer-001.csv'}: shape (3, 2) differs "
-            "from layer-000.csv's (2, 2)")
+            f"graphenergy: {states / 'layer-001.npy'}: shape (3, 2) differs "
+            "from layer-000.npy's (2, 2)")
 
     def test_non_numeric_entry(self, tmp_path):
         states = tmp_path / "states"
         states.mkdir()
-        write_matrix(states / "layer-000.csv", np.ones((2, 2)))
-        (states / "layer-001.csv").write_text("1.0,1.0\n1.0,oops\n")
+        np.save(states / "layer-000.npy", np.ones((2, 2)))
+        np.save(states / "layer-001.npy", np.array([["1.0", "1.0"], ["1.0", "oops"]]))
         assert self.exit_line(tmp_path, states) == (
-            f"graphenergy: {states / 'layer-001.csv'}:2: column 2: "
-            "non-numeric token 'oops'")
+            f"graphenergy: {states / 'layer-001.npy'}: expected a 2-D numeric "
+            "array, found a 2-D <U4 array")
+
+    @pytest.mark.parametrize("write, named", [
+        (lambda f: np.save(f, np.array([[1.0, None]]), allow_pickle=True),
+         "Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda f: np.save(f, np.ones(3)),
+         "expected a 2-D numeric array, found a 1-D float64 array"),
+        (lambda f: (np.save(f, np.ones((2, 2))), f.write_bytes(f.read_bytes()[:-8])),
+         "Failed to read all data for array"),
+        (lambda f: f.write_bytes(b""), "No data left in file"),
+    ], ids=["pickled", "one-dimensional", "truncated", "empty"])
+    def test_unreadable_state(self, tmp_path, write, named):
+        states = tmp_path / "states"
+        states.mkdir()
+        np.save(states / "layer-000.npy", np.ones((2, 2)))
+        write(states / "layer-001.npy")
+        message = self.exit_line(tmp_path, states)
+        assert message.startswith(f"graphenergy: {states / 'layer-001.npy'}: ")
+        assert named in message
 
     def test_states_path_is_a_file(self, tmp_path):
-        states = tmp_path / "layer-000.csv"
-        write_matrix(states, np.ones((2, 2)))
+        states = tmp_path / "layer-000.npy"
+        np.save(states, np.ones((2, 2)))
         assert self.exit_line(tmp_path, states) == f"graphenergy: {states}: not a directory"
 
     def test_matrix_inputs(self, tmp_path):
         states = tmp_path / "states"
         states.mkdir()
         X = np.arange(6.0).reshape(3, 2) + 1.0
-        write_matrix(states / "layer-000.csv", X)
-        write_matrix(states / "layer-001.csv", 2 * X)
+        np.save(states / "layer-000.npy", X)
+        np.save(states / "layer-001.npy", 2 * X)
         out = tmp_path / "cos.csv"
         assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
         matrix = np.loadtxt(out, delimiter=",", skiprows=3)

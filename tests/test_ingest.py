@@ -18,7 +18,6 @@ from graphenergy.ingest import (
     load_features,
     random_features,
     write_edge_list,
-    write_matrix,
 )
 from graphenergy.sweep import _graph_digest
 
@@ -475,11 +474,13 @@ class TestRoundTrips:
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         M = rng.normal(size=(4, 3))
-        f = tmp_path / "m.csv"
-        write_matrix(f, M, provenance="unit-test")
-        np.testing.assert_array_equal(load_features(f), M)
-        header = f.read_text().splitlines()[0]
-        assert header.startswith("#") and "4x3" in header and "unit-test" in header
+        f = tmp_path / "m.npy"
+        np.save(f, M)
+        assert load_features(f, n=4).tobytes() == M.tobytes()
+        np.save(f, np.arange(4).reshape(2, 2))  # integers read as floats
+        assert load_features(f).dtype == np.float64
+        with pytest.raises(ValueError, match=r"m\.npy: expected 3 rows, found 2"):
+            load_features(f, n=3)
 
     def test_ensure_directory(self, tmp_path):
         target = tmp_path / "a" / "b"

@@ -16,8 +16,6 @@ import sys
 
 import pytest
 
-import graphenergy
-
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
@@ -58,11 +56,6 @@ def test_patch_site_holds_the_traced_function(holder, attr):
     defined = getattr(importlib.import_module(PATCH_SITES[holder, attr]), attr)
     assert callable(defined) and defined.__module__ == PATCH_SITES[holder, attr]
     assert getattr(importlib.import_module(holder), attr, None) is defined
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in graphenergy.__all__ if not hasattr(graphenergy, name)]
-    assert missing == []
 
 
 @pytest.mark.skipif(not PERFBENCH.exists(), reason="no benchmark in this checkout")

@@ -57,11 +57,11 @@ COMMANDS = {
 DIGESTS = {
     "numpy 2.4.6 | scipy 1.17.1 | OpenBLAS 0.3.31.188.0  USE64BITINT "
     "DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
-        "sweep": "9c2ff319fad22c035a3adfab443537b112503bf15b5a90aad0dfb0f088f47749",
+        "sweep": "ea685cddefd7cbeb3af2baa82567b89417907fadc33f5216e2a59f427d4ac36f",
         "sweep-gat":
-            "9d343fe513e93885fbe85a14dcd66770f80eb9342cbcbd112e586737031710db",
+            "704e1bf5505cdd92a13a846bea06341843d12e329c7ae8039fe1203eac6f906a",
         "sweep-gcn":
-            "86a5e57ca16b3ebf6f7bb6ffd1f8589aac149ecc35132220a447bceaa24aa861",
+            "7b441560614d2aaac03621b17bd3c6f553ca7a9f2b09852e2026f6b766e67ffe",
         "prune": "3d4190bf60442543f6328ef1694cf481b09839288c8abcc16b4e25d62c0d88f1",
         "flow-heat": "e489a6b95255e7430e66c6fbd0565527c725e88758bfe1417fd3ddd1bfc0b8d6",
         "flow-nonlocal":
