@@ -56,6 +56,8 @@ class AttentionKind:
                 f"unknown attention variant {self.variant!r}; "
                 f"expected one of {SCORE_VARIANTS}"
             )
+        if not np.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky slope must be finite, got {self.leaky_slope!r}")
 
 
 @dataclass(frozen=True)

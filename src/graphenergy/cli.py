@@ -30,6 +30,7 @@ import graphenergy
 from graphenergy.attention import SCORE_VARIANTS, AttentionKind
 from graphenergy.diagnostics import (
     EnergySeries,
+    _ls_slope,
     cosine_similarity_matrix,
     fit_decay,
     prune_scan,
@@ -271,8 +272,8 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
     try:
+        attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
         spec = SweepSpec(
             depths=args.depths,
             variants=tuple(args.variants.split(",")),
@@ -385,23 +386,16 @@ def cmd_flow(args) -> int:
             np.abs(trajectory.norm_mass - G.n).max()
         )
         scaled = np.sqrt(G.n * trajectory.dirichlet)
-        report["sqrt_energy_slope"] = _sqrt_growth_slope(trajectory.times, scaled)
+        report["sqrt_energy_slope"] = _ls_slope(trajectory.times[1:], scaled[1:])
     _write_json(
         os.path.join(args.out, "report.json"), report, config_hash, args.feature_seed
     )
     return 0
 
 
-def _sqrt_growth_slope(times: np.ndarray, scaled: np.ndarray) -> float:
-    mask = times > 0
-    if mask.sum() < 2:
-        return 0.0
-    return float(np.polyfit(times[mask], scaled[mask], 1)[0])
-
-
 def cmd_prune(args) -> int:
-    attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
     try:
+        attention = AttentionKind(variant=args.attention, leaky_slope=args.leaky_slope)
         check_feature_scale(args.feature_scale)
         base = ModelConfig(
             input_dim=args.input_dim,
@@ -523,11 +517,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    names = sorted(
-        name
-        for name in os.listdir(args.states)
-        if name.startswith("layer-") and name.endswith(".npy")
-    )
+    files = (re.fullmatch(r"layer-(\d+)\.npy", n) for n in os.listdir(args.states))
+    names = [m[0] for m in sorted(filter(None, files), key=lambda m: (int(m[1]), m[0]))]
     if not names:
         raise SystemExit(f"{args.states}: no layer-*.npy files")
     states = []
@@ -665,8 +656,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_join_dash_values(_expand_config(argv)))
         with _one_blas_thread():
             return args.func(args)
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        if exc.filename is None:
+    except OSError as exc:
+        if exc.filename is None or exc.strerror is None:
             raise
         raise SystemExit(
             f"graphenergy: {exc.filename}: {exc.strerror.lower()}"

@@ -284,14 +284,17 @@ def fit_decay(series: EnergySeries, window="auto") -> FitReport:
     """Least-squares decay-law fit over a window of an energy series.
 
     Fits log-energy against the index (exponential family) and against
-    the log-index (power family), then classifies:
+    the log-index (power family). The winner is the power fit when its R^2
+    is strictly higher, else the exponential fit; then:
 
-    * exponential-decay: exponential fit has R^2 >= 0.95, negative rate,
-      and at least the power fit's R^2;
-    * algebraic-decay: otherwise, the power fit wins with a negative
-      exponent;
-    * growth: otherwise, the better fit has a positive slope;
-    * inconclusive: anything else.
+    * decay: a negative winning slope is algebraic-decay when the power fit
+      won, and exponential-decay when the exponential fit won and its R^2
+      is at least ``R_SQUARED_FLOOR`` (0.95);
+    * growth: a positive winning slope is growth, reported on the power law
+      (``growth-power``) when the power slope is positive, else on the
+      exponential law;
+    * inconclusive: anything else, reported on the winning law, or on
+      ``growth-power`` when the power fit won with a slope of exactly 0.
 
     Nonpositive values never enter a fit; the power fit also drops
     nonpositive indices. The reported window reflects those drops.
@@ -302,9 +305,7 @@ def fit_decay(series: EnergySeries, window="auto") -> FitReport:
     if isinstance(window, str):
         if window != "auto":
             raise ValueError(f"unknown window {window!r}")
-        drop = int(np.floor(AUTO_BURN_IN * idx.size))
-        selected = np.zeros(idx.size, dtype=bool)
-        selected[drop:] = True
+        selected = np.arange(idx.size) >= int(np.floor(AUTO_BURN_IN * idx.size))
     else:
         lo, hi = window
         if lo > hi:
@@ -325,51 +326,25 @@ def fit_decay(series: EnergySeries, window="auto") -> FitReport:
         else None
     )
 
-    pow_r2 = pow_fit.r_squared if pow_fit is not None else -np.inf
-    if exp_fit.r_squared >= R_SQUARED_FLOOR and exp_fit.slope < 0 and (
-        exp_fit.r_squared >= pow_r2
-    ):
-        classification, law, chosen, mask = (
-            "exponential-decay",
-            LAW_EXPONENTIAL,
-            exp_fit,
-            exp_mask,
-        )
-    elif pow_fit is not None and pow_r2 > exp_fit.r_squared and pow_fit.slope < 0:
-        classification, law, chosen, mask = (
-            "algebraic-decay",
-            LAW_POWER,
-            pow_fit,
-            pow_mask,
-        )
+    power_wins = pow_fit is not None and pow_fit.r_squared > exp_fit.r_squared
+    law = LAW_POWER if power_wins else LAW_EXPONENTIAL
+    slope = (pow_fit if power_wins else exp_fit).slope
+    if slope < 0 and (power_wins or exp_fit.r_squared >= R_SQUARED_FLOOR):
+        classification = "algebraic-decay" if power_wins else "exponential-decay"
+    elif slope > 0:
+        classification = "growth"
+        power_grows = pow_fit is not None and pow_fit.slope > 0
+        law = LAW_GROWTH if power_grows else LAW_EXPONENTIAL
     else:
-        best_is_power = pow_fit is not None and pow_r2 > exp_fit.r_squared
-        best = pow_fit if best_is_power else exp_fit
-        if best.slope > 0:
-            classification = "growth"
-            if pow_fit is not None and pow_fit.slope > 0:
-                law, chosen, mask = LAW_GROWTH, pow_fit, pow_mask
-            else:
-                law, chosen, mask = LAW_EXPONENTIAL, exp_fit, exp_mask
-        else:
-            classification = "inconclusive"
-            if best_is_power:
-                law = LAW_GROWTH if best.slope >= 0 else LAW_POWER
-                mask = pow_mask
-            else:
-                law = LAW_EXPONENTIAL
-                mask = exp_mask
-            chosen = best
+        classification = "inconclusive"
+        if power_wins and slope == 0:
+            law = LAW_GROWTH
+    chosen, mask = (exp_fit, exp_mask) if law == LAW_EXPONENTIAL else (pow_fit, pow_mask)
     used = idx[mask]
     return FitReport(
-        law=law,
-        exponent=float(chosen.slope),
-        intercept=float(chosen.intercept),
-        r_squared=float(chosen.r_squared),
-        window=(float(used.min()), float(used.max())),
-        classification=classification,
-        power_fit=pow_fit,
-        exponential_fit=exp_fit,
+        law=law, exponent=chosen.slope, intercept=chosen.intercept,
+        r_squared=chosen.r_squared, window=(float(used.min()), float(used.max())),
+        classification=classification, power_fit=pow_fit, exponential_fit=exp_fit,
     )
 
 

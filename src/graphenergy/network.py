@@ -122,8 +122,9 @@ class LayerParams:
 class ModelParams:
     """A stack's parameters. :func:`init_model` fills ``layers`` with a
     :class:`DrawnLayers` that draws each layer when it is read; any other
-    sequence of :class:`LayerParams` works the same, such as a tuple
-    without layer k: the stack ``prune_scan`` steps beside the intact one."""
+    sequence of :class:`LayerParams` works the same. ``prune_scan`` steps
+    its pruned stacks as branches inside ``_stream``, each reading the
+    same ``layers``."""
 
     encoder_w1: np.ndarray
     encoder_w2: np.ndarray

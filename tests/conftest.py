@@ -16,6 +16,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 
+from graphenergy import diagnostics
 from graphenergy.dynamics import FlowTrajectory
 from graphenergy.graph import WeightedGraph, build_weighted_graph
 from graphenergy.network import ModelParams, forward_trajectory
@@ -239,6 +240,78 @@ def lattice_loops(spec) -> WeightedGraph:
             if r + 1 < rows:
                 edges.append((node, node + cols))
     return build_weighted_graph(edges, n=rows * cols)
+
+
+def fit_decay_oracle(series, window="auto"):
+    """:func:`graphenergy.diagnostics.fit_decay` as a cascade of the four
+    verdicts in precedence order, each with its own test of which fit won.
+    Test oracle for the one-decision classification."""
+    d = diagnostics
+    idx, val = series.indices, series.values
+    if isinstance(window, str):
+        if window != "auto":
+            raise ValueError(f"unknown window {window!r}")
+        drop = int(np.floor(d.AUTO_BURN_IN * idx.size))
+        selected = np.zeros(idx.size, dtype=bool)
+        selected[drop:] = True
+    else:
+        lo, hi = window
+        if lo > hi:
+            raise ValueError("window lo exceeds hi")
+        selected = (idx >= lo) & (idx <= hi)
+        if not selected.any():
+            raise ValueError("window lies outside the series range")
+
+    exp_mask = selected & (val > 0)
+    if exp_mask.sum() < 5:
+        raise ValueError("need at least five positive points to fit")
+    pow_mask = exp_mask & (idx > 0)
+
+    exp_fit = d._line_fit(idx[exp_mask], np.log(val[exp_mask]))
+    pow_fit = (
+        d._line_fit(np.log(idx[pow_mask]), np.log(val[pow_mask]))
+        if pow_mask.sum() >= 5
+        else None
+    )
+
+    pow_r2 = pow_fit.r_squared if pow_fit is not None else -np.inf
+    if exp_fit.r_squared >= d.R_SQUARED_FLOOR and exp_fit.slope < 0 and (
+        exp_fit.r_squared >= pow_r2
+    ):
+        classification, law, chosen, mask = (
+            "exponential-decay", d.LAW_EXPONENTIAL, exp_fit, exp_mask)
+    elif pow_fit is not None and pow_r2 > exp_fit.r_squared and pow_fit.slope < 0:
+        classification, law, chosen, mask = (
+            "algebraic-decay", d.LAW_POWER, pow_fit, pow_mask)
+    else:
+        best_is_power = pow_fit is not None and pow_r2 > exp_fit.r_squared
+        best = pow_fit if best_is_power else exp_fit
+        if best.slope > 0:
+            classification = "growth"
+            if pow_fit is not None and pow_fit.slope > 0:
+                law, chosen, mask = d.LAW_GROWTH, pow_fit, pow_mask
+            else:
+                law, chosen, mask = d.LAW_EXPONENTIAL, exp_fit, exp_mask
+        else:
+            classification = "inconclusive"
+            if best_is_power:
+                law = d.LAW_GROWTH if best.slope >= 0 else d.LAW_POWER
+                mask = pow_mask
+            else:
+                law = d.LAW_EXPONENTIAL
+                mask = exp_mask
+            chosen = best
+    used = idx[mask]
+    return d.FitReport(
+        law=law,
+        exponent=float(chosen.slope),
+        intercept=float(chosen.intercept),
+        r_squared=float(chosen.r_squared),
+        window=(float(used.min()), float(used.max())),
+        classification=classification,
+        power_fit=pow_fit,
+        exponential_fit=exp_fit,
+    )
 
 
 def rk4_reference(G, X0, rhs, dt: float, horizon: float):

@@ -258,6 +258,10 @@ class TestSweep:
         ("--energy-order", "-1", "energy order must be nonnegative, got -1"),
         ("--feature-scale", "nan", "feature scale must be finite and nonnegative"),
         ("--feature-scale", "inf", "feature scale must be finite and nonnegative"),
+        ("--leaky-slope", "nan", "^bad sweep arguments: leaky slope must be finite, "
+         "got nan$"),
+        ("--leaky-slope", "inf", "^bad sweep arguments: leaky slope must be finite, "
+         "got inf$"),
     ])
     def test_bad_model_flag_fails_before_writing(
         self, tmp_path, monkeypatch, flag, value, named
@@ -895,6 +899,22 @@ class TestPrune:
             )
         assert not (tmp_path / "prune").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_leaky_slope_fails_before_building_graph(
+        self, tmp_path, monkeypatch, value
+    ):
+        monkeypatch.setattr(cli, "_resolve_graph", no_graph)
+        with pytest.raises(SystemExit, match=rf"^bad model arguments: leaky slope "
+                                             rf"must be finite, got {value}$"):
+            main(
+                [
+                    "prune", "--kind", "ring", "--size", "10", "--attention", "gat",
+                    "--depth", "4", "--layers", "2", "--leaky-slope", value,
+                    "--out", str(tmp_path / "prune"),
+                ]
+            )
+        assert not (tmp_path / "prune").exists()
+
     def test_bad_heads_fail_before_running(self, tmp_path):
         with pytest.raises(SystemExit, match="heads 3"):
             main(
@@ -1164,19 +1184,35 @@ class TestFit:
 
 
 class TestMissingFile:
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--config", "{absent}", "--out", "{tmp}/out"],
-        ["stats", "--edges", "{absent}"],
-        ["stats", "--kind", "ring", "--size", "5", "--features", "{absent}"],
-        ["fit", "--series", "{absent}"],
-        ["similarity", "--states", "{absent}", "--out", "{tmp}/cos.csv"],
-    ], ids=["config", "edges", "features", "series", "states"])
-    def test_names_the_file(self, tmp_path, argv):
-        absent = tmp_path / "absent"
-        argv = [a.format(absent=absent, tmp=tmp_path) for a in argv]
+    """A path that cannot be opened or made ends the command in one line
+    that names it."""
+
+    @pytest.mark.parametrize("argv, named, message", [
+        (["sweep", "--config", "{absent}", "--out", "{tmp}/out"], "{absent}",
+         "no such file or directory"),
+        (["stats", "--edges", "{absent}"], "{absent}", "no such file or directory"),
+        (["stats", "--kind", "ring", "--size", "5", "--features", "{absent}"],
+         "{absent}", "no such file or directory"),
+        (["fit", "--series", "{absent}"], "{absent}", "no such file or directory"),
+        (["similarity", "--states", "{absent}", "--out", "{tmp}/cos.csv"], "{absent}",
+         "no such file or directory"),
+        (["fit", "--series", "{tmp}"], "{tmp}", "is a directory"),
+        (["similarity", "--states", "{states}", "--out", "{tmp}/cos.csv"],
+         "{states}/layer-000.npy", "is a directory"),
+        (["sweep", "--kind", "ring", "--size", "10", "--depths", "2", "--seeds", "0",
+          "--hidden-dim", "8", "--input-dim", "4", "--output-dim", "3",
+          "--out", "{file}"], "{file}", "file exists"),
+    ], ids=["config", "edges", "features", "series", "states", "series-directory",
+            "state-directory", "out-file"])
+    def test_names_the_file(self, tmp_path, argv, named, message):
+        paths = dict(absent=tmp_path / "absent", tmp=tmp_path,
+                     states=tmp_path / "states", file=tmp_path / "file")
+        (paths["states"] / "layer-000.npy").mkdir(parents=True)
+        paths["file"].write_text("")
+        argv = [a.format(**paths) for a in argv]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
-        assert exit_info.value.code == f"graphenergy: {absent}: no such file or directory"
+        assert exit_info.value.code == f"graphenergy: {named.format(**paths)}: {message}"
 
 
 class TestBadGraphSource:
@@ -1341,6 +1377,20 @@ class TestSimilarityErrors:
         states = tmp_path / "layer-000.npy"
         np.save(states, np.ones((2, 2)))
         assert self.exit_line(tmp_path, states) == f"graphenergy: {states}: not a directory"
+
+    def test_layers_in_numeric_order(self, tmp_path):
+        states = tmp_path / "states"
+        states.mkdir()
+        X = np.arange(6.0).reshape(3, 2) + 1.0
+        for layer, state in ((100, X), (101, -X), (1000, X)):
+            np.save(states / f"layer-{layer}.npy", state)
+        np.save(states / "layer-x.npy", np.ones((5, 5)))  # not a numbered layer
+        out = tmp_path / "cos.csv"
+        assert main(["similarity", "--states", str(states), "--out", str(out)]) == 0
+        header, rows = csv_columns(out)
+        assert header == ["layer-100", "layer-101", "layer-1000"]
+        np.testing.assert_allclose(np.array(rows, dtype=float),
+                                   [[1, -1, 1], [-1, 1, -1], [1, -1, 1]], atol=1e-12)
 
     def test_matrix_inputs(self, tmp_path):
         states = tmp_path / "states"

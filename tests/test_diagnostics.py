@@ -1,4 +1,6 @@
-from dataclasses import replace
+import re
+import struct
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from graphenergy.network import (
 from conftest import (
     P3_EDGES,
     STATE_TEMPORARIES,
+    fit_decay_oracle,
     omitted_layer,
     random_graph,
     stack_states,
@@ -47,6 +50,17 @@ def series(values, indices=None):
         indices=np.asarray(indices, dtype=float),
         values=values,
     )
+
+
+def fit_bits(report):
+    """A FitReport as a flat tuple, each float as its eight bytes."""
+    def bits(value):
+        if isinstance(value, float):
+            return struct.pack("<d", value)
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+    return bits(astuple(report))
 
 
 class TestEnergySeries:
@@ -355,6 +369,65 @@ class TestFitDecay:
     def test_constant_series_inconclusive(self):
         report = fit_decay(series(np.ones(20), indices=np.arange(1.0, 21.0)))
         assert report.classification == "inconclusive"
+
+    @pytest.mark.parametrize("values, indices, window, verdict", [
+        (np.exp(-0.5 * np.arange(60.0)), None, "auto",
+         ("exponential-decay", "exponential")),
+        (np.exp(-0.5 * np.arange(5.0)), None, "auto",  # too few points for a power fit
+         ("exponential-decay", "exponential")),
+        (100.0 / np.arange(1.0, 101.0), np.arange(1.0, 101.0), "auto",
+         ("algebraic-decay", "power")),
+        (np.arange(1.0, 80.0) ** 1.8, np.arange(1.0, 80.0), "auto",
+         ("growth", "growth-power")),
+        (np.exp(0.3 * np.arange(5.0)), None, "auto", ("growth", "exponential")),
+        # the exponential fit wins with a positive rate, the power slope is negative
+        ([1.4, 2.0, 1.3, 1.4, 1.9, 0.6, 0.9, 1.8, 2.8, 1.6], None, "auto",
+         ("growth", "exponential")),
+        (np.ones(20), np.arange(1.0, 21.0), "auto", ("inconclusive", "exponential")),
+        # a decay whose exponential fit wins below the R^2 floor
+        (np.exp(-0.1 * np.arange(40.0)) * (1 + 0.5 * np.sin(np.arange(40.0))), None,
+         (5, 39), ("inconclusive", "exponential")),
+        # index 0 enters only the exponential fit: the power fit is exact and flat
+        ([2.0, 1.0, 1.0, 1.0, 1.0, 1.0], None, "auto", ("inconclusive", "growth-power")),
+    ])
+    def test_each_verdict_matches_the_cascade(self, values, indices, window, verdict):
+        s = series(values, indices=indices)
+        report = fit_decay(s, window=window)
+        assert (report.classification, report.law) == verdict
+        assert fit_bits(report) == fit_bits(fit_decay_oracle(s, window=window))
+
+    @settings(max_examples=600, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["flat", "zeros", "power", "exponential", "growth"]),
+           explicit=st.booleans())
+    def test_matches_the_cascade_oracle(self, seed, shape, explicit):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 80))
+        k = np.arange(n, dtype=float) + rng.choice([0.0, 1.0])
+        noise = rng.choice([0.0, 1e-3, 0.1, 1.0]) * rng.normal(size=n)
+        if shape == "flat":
+            values = np.full(n, rng.choice([1.0, 1.1, 3.0, 0.5, 1e-200]))
+            values[0] *= rng.choice([1.0, 2.0])  # an index 0 enters one fit only
+        elif shape == "power":
+            values = rng.uniform(0.1, 100) * (k + 1) ** -rng.uniform(0, 3)
+        elif shape == "exponential":
+            values = np.exp(-rng.uniform(0, 1) * k)
+        elif shape == "growth":
+            values = (k + 1) ** rng.uniform(0, 3) * np.exp(rng.uniform(0, 0.1) * k)
+        else:
+            values = rng.exponential(size=n) * (rng.random(n) < 0.7)
+        s = series(values * np.exp(noise), indices=k)
+        window = "auto"
+        if explicit:
+            lo, hi = np.sort(rng.choice(k, size=2))
+            window = (float(lo), float(hi))
+        try:
+            expected = fit_decay_oracle(s, window=window)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                fit_decay(s, window=window)
+        else:
+            assert fit_bits(fit_decay(s, window=window)) == fit_bits(expected)
 
     @pytest.mark.parametrize("variant", ["post_ln", "pre_ln", "nonlocal_post_ln"])
     def test_fit_classification_stable_across_orders(self, variant):
